@@ -8,8 +8,9 @@ the pipeline (see ``pipeline.OPS``) in this one process until the next
 round would end after ``--seconds``; at least one round always runs.
 
 ``--trace 0`` prints the end-to-end metrics, each the median over rounds.
-``--trace 1`` runs one untraced round and then one traced round, and prints
-the per-layer metrics of the traced round plus the tracing overhead.
+``--trace 1`` runs pairs of one untraced and one traced round in the same
+way (at least one pair), and prints the per-layer metrics per traced round
+plus the tracing overhead.
 The last line of standard output is the JSON result.
 """
 

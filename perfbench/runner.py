@@ -73,8 +73,8 @@ _MODULES = {m.__name__.rsplit(".", 1)[1]: m for m in
              schema, training)}
 
 
-def _round(inp, ops: list, tracer=None) -> tuple[dict, dict]:
-    """Runs every phase once; returns (metrics, seconds per phase).
+def _round(inp, ops: list, tracer=None) -> pipeline.RoundState:
+    """Runs every phase once; returns what the phases recorded.
 
     A phase fails if it raises or its check fails. After an unexpected
     failure the remaining phases of the round are counted as failed too,
@@ -105,27 +105,36 @@ def _round(inp, ops: list, tracer=None) -> tuple[dict, dict]:
                 broken = True
         seconds[name] = time.perf_counter() - t0
     print("round: " + " ".join(f"{k}={v:.2f}s" for k, v in seconds.items()), file=sys.stderr)
-    return st.metrics, seconds
+    return st
 
 
 def _unexpected(ops: list) -> bool:
     return any(not ok and n not in pipeline.KNOWN_FAULT_OPS for n, ok, _ in ops)
 
 
-def _per_layer(tracer: tracing.Tracer, inp, untraced_s: float, traced_s: float) -> dict:
+def _busy_ratio(traced: pipeline.RoundState, plain: pipeline.RoundState) -> float:
+    """Traced over untraced time inside the program's calls, checks excluded."""
+    both = traced.busy.keys() & plain.busy.keys()
+    return (sum(traced.busy[k] for k in both)
+            / max(sum(plain.busy[k] for k in both), 1e-9))
+
+
+def _per_layer(tracer: tracing.Tracer, inp, rounds: int, overhead: float) -> dict:
+    """Self times and counts per traced round; byte figures per train step."""
     own = tracer.self_times()
     c = tracer.counts
     steps = max(c["train_steps"], 1)
-    values = {name: own.get(span, 0.0) for name, span in _SELF_TIME.items()}
+    values = {name: own.get(span, 0.0) / rounds for name, span in _SELF_TIME.items()}
     values.update({
-        "schema.cells_parsed": c["cells_parsed"],
-        "model.forward_calls": c["forward_calls"],
-        "autodiff.op_calls": c["op_calls"],
+        "schema.cells_parsed": c["cells_parsed"] / rounds,
+        "model.forward_calls": c["forward_calls"] / rounds,
+        "autodiff.op_calls": c["op_calls"] / rounds,
         "autodiff.activation_bytes": c["train_activation_bytes"] / steps,
         "autodiff.off_dtype_bytes": c["train_off_dtype_bytes"] / steps,
-        "generation.row_passes_per_row": c["generate_forward_rows"] / inp.w.gen_rows,
+        "generation.row_passes_per_row":
+            c["generate_forward_rows"] / (inp.w.gen_rows * rounds),
         "checkpoint.bytes": os.path.getsize(inp.path("model.ckpt")),
-        "trace.overhead_pct": 100.0 * (traced_s / untraced_s - 1.0),
+        "trace.overhead_pct": 100.0 * overhead,
     })
     return {name: {"value": values[name], "unit": unit}
             for name, unit in PER_LAYER_UNITS.items()}
@@ -142,25 +151,34 @@ def run(w, seed: int, seconds: float, trace: bool, root: str, out_dir: str) -> d
         gc.collect()
         gc.freeze()
         if trace:
-            # The untraced round is the reference for the overhead. The
-            # set-up phase runs in child processes the tracer never sees,
-            # so it is left out of both walls.
-            _, plain = _round(inp, ops)
+            # Pairs of one untraced and one traced round, until the next
+            # pair would end after ``seconds`` (at least one pair). The
+            # overhead is the median over pairs of the traced round's time
+            # inside the program's calls against the untraced round's; the
+            # set-up phase runs in child processes the tracer never sees.
             tracer = tracing.Tracer(model.ModelConfig(**pipeline.MODEL_CONFIG).dtype)
-            restore = tracer.install(_MODULES)
-            try:
-                _, traced = _round(inp, ops, tracer)
-            finally:
-                restore()
+            ratios = []
+            start = time.perf_counter()
+            while True:
+                t0 = time.perf_counter()
+                plain = _round(inp, ops)
+                restore = tracer.install(_MODULES)
+                try:
+                    traced = _round(inp, ops, tracer)
+                finally:
+                    restore()
+                ratios.append(_busy_ratio(traced, plain))
+                now = time.perf_counter()
+                if _unexpected(ops) or now - start + (now - t0) > seconds:
+                    break
             tracer.write(os.path.join(out_dir, f"trace-{w.name}-s{seed}.jsonl"))
-            wall = lambda s: sum(v for k, v in s.items() if k != "setup")
-            out = _per_layer(tracer, inp, wall(plain), wall(traced))
+            out = _per_layer(tracer, inp, len(ratios), statistics.median(ratios) - 1.0)
         else:
             rounds = []
             start = time.perf_counter()
             while True:
                 t0 = time.perf_counter()
-                rounds.append(_round(inp, ops)[0])
+                rounds.append(_round(inp, ops).metrics)
                 now = time.perf_counter()
                 if _unexpected(ops) or now - start + (now - t0) > seconds:
                     break

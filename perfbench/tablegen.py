@@ -76,7 +76,7 @@ NARROW = Workload(
     fields=(Field("x", "continuous", 32), Field("a", "categorical", 4),
             Field("b", "categorical", 4)),
     target="b", train_rows=30000, heldout_rows=1000, eval_real_rows=300,
-    fit_steps=60, fit_warmup=6, round_steps=4, gen_rows=150, impute_rows=150,
+    fit_steps=60, fit_warmup=6, round_steps=4, gen_rows=500, impute_rows=500,
     planted_pair=("a", "b"),
 )
 
@@ -140,8 +140,8 @@ TALL = Workload(
             Field("t1", "continuous", 100), Field("g10", "categorical", 10),
             Field("t2", "continuous", 100), Field("g50", "categorical", 50),
             Field("t3", "continuous", 100), Field("g200", "categorical", 200)),
-    target="g10", train_rows=8000, heldout_rows=200, eval_real_rows=400,
-    fit_steps=16, fit_warmup=0, round_steps=2, gen_rows=48, impute_rows=48,
+    target="g10", train_rows=12000, heldout_rows=200, eval_real_rows=700,
+    fit_steps=16, fit_warmup=0, round_steps=1, gen_rows=24, impute_rows=24,
 )
 
 
