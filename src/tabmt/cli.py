@@ -25,7 +25,7 @@ from .metrics import (
 )
 from .model import ModelConfig, TabMTModel
 from .pareto import CandidateEvaluator, pareto_search, write_front_csv
-from .schema import load_csv, load_schema, write_csv
+from .schema import MISSING, load_csv, load_schema, write_csv
 from .training import TrainConfig, train, write_loss_history
 
 
@@ -179,8 +179,8 @@ def _cmd_evaluate(args) -> int:
     counts, edges = correlation_error_histogram(train_vec, synth_vec)
     real_tok = encode_table(real_train, model.codecs)
     synth_tok = encode_table(synth, model.codecs)
-    real_emb = model.embed_rows(real_tok.tokens)
-    synth_emb = model.embed_rows(synth_tok.tokens)
+    real_emb = model.embed_rows(real_tok.tokens, real_tok.missing)
+    synth_emb = model.embed_rows(synth_tok.tokens, synth_tok.missing)
     precision, recall = precision_recall(real_emb, synth_emb, k=args.knn)
     proxy = None
     if schema.target_index is not None:
@@ -214,6 +214,9 @@ def _cmd_impute(args) -> int:
     temps = _parse_temps(args.temps, model.n_fields)
     filled = impute(model, tokens, temps=temps, seed=args.seed)
     out = decode_table(filled, model.codecs)
+    # Observed cells are written as parsed, not as their bin centres.
+    out.cells = [[d if v is MISSING else v for v, d in zip(row, dec)]
+                 for row, dec in zip(table.cells, out.cells)]
     write_csv(out, args.out)
     print(f"imputed table written to {args.out}")
     return 0

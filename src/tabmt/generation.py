@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .model import TabMTModel
 from .schema import TokenTable
 
@@ -80,19 +81,20 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
     was_training = model.training
     model.training = False
     try:
-        for start in range(0, spec.count, spec.batch_size):
-            n = min(spec.batch_size, spec.count - start)
-            tokens = np.zeros((n, l), dtype=np.int64)
-            mask = np.ones((n, l), dtype=bool)
-            for j, t in spec.condition.items():
-                tokens[:, j] = t
-                mask[:, j] = False
-            order = rng.permutation(free) if free else []
-            for j in order:
-                logits = model.forward(tokens, mask)[j].data
-                tokens[:, j] = sample_field(logits, temps[j], rng)
-                mask[:, j] = False
-            out_tokens[start:start + n] = tokens
+        with ad.no_grad():
+            for start in range(0, spec.count, spec.batch_size):
+                n = min(spec.batch_size, spec.count - start)
+                tokens = np.zeros((n, l), dtype=np.int64)
+                mask = np.ones((n, l), dtype=bool)
+                for j, t in spec.condition.items():
+                    tokens[:, j] = t
+                    mask[:, j] = False
+                order = rng.permutation(free) if free else []
+                for j in order:
+                    logits = model.forward(tokens, mask, fields=(j,))[0].data
+                    tokens[:, j] = sample_field(logits, temps[j], rng)
+                    mask[:, j] = False
+                out_tokens[start:start + n] = tokens
     finally:
         model.training = was_training
     return TokenTable(schema=None, tokens=out_tokens)
@@ -108,18 +110,20 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     was_training = model.training
     model.training = False
     try:
-        for start in range(0, n_total, batch_size):
-            end = min(start + batch_size, n_total)
-            batch = tokens[start:end]
-            mask = table.missing[start:end].copy()
-            for j in rng.permutation(l):
-                rows = mask[:, j]
-                if not rows.any():
-                    continue
-                logits = model.forward(np.where(mask, 0, batch), mask)[j].data
-                batch[rows, j] = sample_field(logits[rows], temps_l[j], rng)
-                mask[:, j] = False
-            tokens[start:end] = batch
+        with ad.no_grad():
+            for start in range(0, n_total, batch_size):
+                end = min(start + batch_size, n_total)
+                batch = tokens[start:end]
+                mask = table.missing[start:end].copy()
+                for j in rng.permutation(l):
+                    rows = mask[:, j]
+                    if not rows.any():
+                        continue
+                    logits = model.forward(np.where(mask, 0, batch), mask,
+                                           fields=(j,))[0].data
+                    batch[rows, j] = sample_field(logits[rows], temps_l[j], rng)
+                    mask[:, j] = False
+                tokens[start:end] = batch
     finally:
         model.training = was_training
     missing = np.zeros_like(table.missing)

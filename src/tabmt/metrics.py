@@ -72,8 +72,9 @@ class MetricSpace:
         return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
 
 
-def _pair_chunk(n_cols: int, dim: int, budget: int = 40_000_000) -> int:
-    # Keep the (chunk, n_cols, dim) difference tensor within the budget.
+def _pair_chunk(n_cols: int, dim: int, budget: int = 262_144) -> int:
+    # Keep the (chunk, n_cols, dim) difference tensor within the budget:
+    # 2 MiB of float64 stays in a core's cache instead of streaming to DRAM.
     return max(1, budget // max(1, n_cols * dim))
 
 
@@ -84,7 +85,8 @@ def _sq_dists(block: np.ndarray, b: np.ndarray) -> np.ndarray:
     faster (a^2 + b^2 - 2ab) expansion.
     """
     diff = block[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=2)
+    np.multiply(diff, diff, out=diff)
+    return diff.sum(axis=2)
 
 
 def _chunked_min_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,10 +251,17 @@ def mle_proxy(synth_train: RawTable, real_test: RawTable, space: MetricSpace,
     if task not in (CLASSIFY, REGRESS):
         raise MetricError(f"unknown task {task!r}")
     codec = space.codecs[target_index]
-    x_tr = space.transform(synth_train, exclude=target_index)
-    x_te = space.transform(real_test, exclude=target_index)
+    # Rows with a blank target can be neither fit nor scored.
     y_tr_raw = synth_train.column(target_index)
     y_te_raw = real_test.column(target_index)
+    keep_tr = [i for i, v in enumerate(y_tr_raw) if v is not MISSING]
+    keep_te = [i for i, v in enumerate(y_te_raw) if v is not MISSING]
+    if not keep_tr or not keep_te:
+        raise MetricError("no rows with an observed target")
+    x_tr = space.transform(synth_train, exclude=target_index)[keep_tr]
+    x_te = space.transform(real_test, exclude=target_index)[keep_te]
+    y_tr_raw = [y_tr_raw[i] for i in keep_tr]
+    y_te_raw = [y_te_raw[i] for i in keep_te]
 
     if task == CLASSIFY:
         if not isinstance(codec, CategoricalCodec):

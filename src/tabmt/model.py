@@ -10,6 +10,7 @@ temperature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +142,9 @@ class _EncoderBlock:
             return ad.reshape(t, (n * h, l, dh))
 
         q, k, v = split_heads(q), split_heads(k), split_heads(v)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+        # A Python float, not a numpy float64 scalar, so that NumPy 2
+        # promotion keeps the activations in the model dtype.
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
         attn = ad.softmax(scores)
         attn = ad.dropout(attn, self.dropout, rng, training)
         ctx = ad.matmul(attn, v)
@@ -249,18 +252,30 @@ class TabMTModel:
         return ad.layer_norm(x, self.ln_f_g, self.ln_f_b)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray,
-                rng: np.random.Generator | None = None) -> list[Tensor]:
-        """Per-field logits, each of shape (n, cardinality_j)."""
-        h = self._hidden(tokens, mask, rng)
-        return [head.forward(ad.select(h, 1, j)) for j, head in enumerate(self.heads)]
+                rng: np.random.Generator | None = None,
+                fields=None) -> list[Tensor]:
+        """Per-field logits, each of shape (n, cardinality_j).
 
-    def embed_rows(self, tokens: np.ndarray) -> np.ndarray:
-        """Mean over field positions of the final hidden states (no masking)."""
+        ``fields`` lists the fields whose heads to run (default: all);
+        sampling one field needs one head, not l.
+        """
+        h = self._hidden(tokens, mask, rng)
+        fields = range(self.n_fields) if fields is None else fields
+        return [self.heads[j].forward(ad.select(h, 1, j)) for j in fields]
+
+    def embed_rows(self, tokens: np.ndarray,
+                   missing: np.ndarray | None = None) -> np.ndarray:
+        """Mean over field positions of the final hidden states.
+
+        Only ``missing`` cells are masked (default: none).
+        """
+        tokens = np.asarray(tokens)
+        mask = np.zeros(tokens.shape, dtype=bool) if missing is None else missing
         was_training = self.training
         self.training = False
         try:
-            mask = np.zeros(np.asarray(tokens).shape, dtype=bool)
-            h = self._hidden(tokens, mask, None)
+            with ad.no_grad():
+                h = self._hidden(tokens, mask, None)
             return h.data.mean(axis=1)
         finally:
             self.training = was_training

@@ -197,3 +197,27 @@ class TestCosineSchedule:
             cosine_schedule(2000, 100, 1000, 0.002)
         with pytest.raises(ValueError):
             cosine_schedule(0, 1000, 1000, 0.002)
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        w = rand_param(3, 4)
+        x = Tensor(np.ones((2, 3)))
+        with ad.no_grad():
+            out = ad.gelu(ad.matmul(x, w))
+            loss, _ = ad.cross_entropy_sum(out, [0, 1], [True, True])
+        for t in (out, loss):
+            assert not t.requires_grad
+            assert t._parents == () and t._backward is None
+        taped = ad.matmul(x, w)
+        assert taped.requires_grad and taped._parents == (x, w)
+
+    def test_flag_restored_after_exception_and_nesting(self):
+        w = rand_param(3)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not ad.scale(w, 2.0).requires_grad
+                raise RuntimeError("boom")
+        assert ad.scale(w, 2.0).requires_grad

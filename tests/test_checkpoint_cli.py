@@ -10,6 +10,7 @@ from tabmt.codec import decode_table
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.schema import (
     CATEGORICAL,
+    CONTINUOUS,
     FieldSchema,
     RawTable,
     TableSchema,
@@ -243,3 +244,65 @@ class TestCmdFlowcheck:
                    "--report", str(tmp_path / "r.json")])
         assert rc == 1
         capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def trained_mixed_cli(tmp_path_factory):
+    """A continuous and a categorical target field; one blank continuous
+    cell in the training CSV."""
+    tmp = tmp_path_factory.mktemp("mixed")
+    schema = TableSchema(fields=(
+        FieldSchema(name="x", kind=CONTINUOUS, max_bins=20),
+        FieldSchema(name="y", kind=CATEGORICAL),
+    ), target_index=1)
+    schema_path = str(tmp / "schema.json")
+    save_schema(schema, schema_path)
+    rng = np.random.default_rng(0)
+
+    def write(name, n, blank):
+        xs = rng.normal(size=n)
+        lines = ["x,y"] + [f"{float(x)!r},{'pos' if x > 0 else 'neg'}" for x in xs]
+        for row, col in blank:
+            cells = lines[row + 1].split(",")
+            cells[col] = ""
+            lines[row + 1] = ",".join(cells)
+        path = tmp / name
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    data = write("train.csv", 300, blank=[(3, 0)])
+    ckpt = str(tmp / "model.ckpt")
+    assert main(train_args(schema_path, data, ckpt, steps=40)) == 0
+    return {"tmp": tmp, "data": data, "ckpt": ckpt,
+            "test": write("test.csv", 100, blank=[(5, 1)])}
+
+
+class TestMissingCells:
+    def test_evaluate_with_blank_cells(self, trained_mixed_cli):
+        # A blank continuous cell in --real-train, a blank target in --real-test.
+        t = trained_mixed_cli
+        synth = str(t["tmp"] / "synth.csv")
+        assert main(["generate", "--checkpoint", t["ckpt"], "--count", "60",
+                     "--out", synth, "--seed", "3"]) == 0
+        report_path = str(t["tmp"] / "report.json")
+        rc = main(["evaluate", "--checkpoint", t["ckpt"], "--real-train", t["data"],
+                   "--real-test", t["test"], "--synth", synth,
+                   "--report", report_path])
+        assert rc == 0
+        report = json.load(open(report_path))
+        assert 0.0 <= report["precision"] <= 1.0
+        assert report["mle_proxy"] is not None
+
+    def test_impute_writes_observed_cells_as_parsed(self, trained_mixed_cli, tmp_path):
+        t = trained_mixed_cli
+        model, _, _ = load_checkpoint(t["ckpt"])
+        assert 0.123456789 not in model.codecs[0].centers
+        data = tmp_path / "sparse.csv"
+        data.write_text("x,y\n0.123456789,\n,pos\n-1.5e-07,neg\n")
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", t["ckpt"], "--data", str(data),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert rows[0][0] == "0.123456789" and rows[0][1] in ("neg", "pos")
+        assert float(rows[1][0]) in model.codecs[0].centers and rows[1][1] == "pos"
+        assert rows[2] == ["-1.5e-07", "neg"]

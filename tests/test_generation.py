@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_toy_tokens
+from conftest import generate_oracle, impute_oracle, make_toy_tokens
+from tabmt.codec import fit_categorical, fit_continuous
 from tabmt.generation import (
     GenerationSpec,
     generate,
@@ -13,6 +14,7 @@ from tabmt.generation import (
     order_distribution_oracle,
     sample_field,
 )
+from tabmt.model import ModelConfig, TabMTModel
 from tabmt.schema import TokenTable
 from tabmt.training import sample_mask
 
@@ -124,6 +126,46 @@ class TestImpute:
         out = impute(trained_toy_model, tt, seed=0)
         assert not out.missing.any()
         assert np.all(out.tokens < 4)
+
+
+def mixed_model():
+    """Untrained float32 model with categorical and continuous fields."""
+    rng = np.random.default_rng(0)
+    codecs = [fit_categorical(list("abcde")),
+              fit_continuous(rng.normal(size=200).tolist(), max_bins=12),
+              fit_categorical(list("xy")),
+              fit_continuous(rng.exponential(size=200).tolist(), max_bins=7)]
+    return TabMTModel(codecs, ModelConfig(width=16, depth=2, heads=2), seed=4)
+
+
+class TestSingleHeadPathMatchesOracle:
+    """generate and impute give the tokens of the taped all-heads loop."""
+
+    @pytest.mark.parametrize("condition", [{}, {2: 1}, {0: 3, 3: 5}])
+    def test_generate(self, condition):
+        m = mixed_model()
+        temps = (1.0, 0.7, 1e-8, 2.0)
+        spec = GenerationSpec(count=70, temps=temps, condition=condition,
+                              seed=9, batch_size=32)
+        want = generate_oracle(m, list(temps), condition, 70, 9, batch_size=32)
+        assert np.array_equal(generate(m, spec).tokens, want)
+
+    def test_generate_trained(self, trained_toy_model):
+        out = generate(trained_toy_model, GenerationSpec(count=300, seed=12))
+        want = generate_oracle(trained_toy_model, [1.0, 1.0], {}, 300, 12)
+        assert np.array_equal(out.tokens, want)
+
+    def test_impute(self):
+        m = mixed_model()
+        rng = np.random.default_rng(5)
+        tokens = np.stack([rng.integers(0, k, 90) for k in m.cardinalities], axis=1)
+        missing = rng.random(tokens.shape) < 0.4
+        tokens[missing] = np.array(m.cardinalities)[np.nonzero(missing)[1]]
+        tt = TokenTable(schema=None, tokens=tokens, missing=missing)
+        temps = [1.0, 0.5, 1.0, 3.0]
+        out = impute(m, tt, temps=temps, seed=2, batch_size=40)
+        want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
+        assert np.array_equal(out.tokens, want)
 
 
 class TestOrderDistribution:

@@ -15,6 +15,7 @@ from tabmt.metrics import (
 from tabmt.schema import (
     CATEGORICAL,
     CONTINUOUS,
+    MISSING,
     FieldSchema,
     RawTable,
     TableSchema,
@@ -204,6 +205,45 @@ class TestMleProxy:
         space = MetricSpace.fit(train_t, codecs)
         score = mle_proxy(train_t, make(2), space, 1, "regress")
         assert abs(score) < 0.05 + 0.05
+
+    @staticmethod
+    def blank_targets(table, every):
+        """The table with every ``every``-th target blank, and without those rows."""
+        blanked = [[row[0], MISSING] if i % every == 0 else row
+                   for i, row in enumerate(table.cells)]
+        kept = [row for i, row in enumerate(table.cells) if i % every]
+        return (RawTable(schema=table.schema, cells=blanked),
+                RawTable(schema=table.schema, cells=kept))
+
+    def test_blank_targets_dropped_classify(self):
+        table, space = self.make_separable()
+        test_table, _ = self.make_separable(seed=99)
+        train_b, train_k = self.blank_targets(table, 7)
+        test_b, test_k = self.blank_targets(test_table, 5)
+        got = mle_proxy(train_b, test_b, space, 1, "classify")
+        assert got == mle_proxy(train_k, test_k, space, 1, "classify")
+        assert got > 0.95
+
+    def test_blank_targets_dropped_regress(self):
+        table, space = self.make_separable()
+        cells = [[x, 2.0 * x + 1.0] for x, _ in table.cells]
+        reg = RawTable(schema=TableSchema(fields=(
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=50),
+            FieldSchema(name="t", kind=CONTINUOUS, max_bins=50),
+        ), target_index=1), cells=cells)
+        codecs = [space.codecs[0], fit_continuous(reg.column(1), 50)]
+        reg_space = MetricSpace.fit(reg, codecs)
+        train_b, train_k = self.blank_targets(reg, 3)
+        test_b, test_k = self.blank_targets(reg, 4)
+        got = mle_proxy(train_b, test_b, reg_space, 1, "regress")
+        assert got == mle_proxy(train_k, test_k, reg_space, 1, "regress")
+        assert got > 0.9
+
+    def test_all_targets_blank_errors(self):
+        table, space = self.make_separable()
+        blank, _ = self.blank_targets(table, 1)
+        with pytest.raises(MetricError):
+            mle_proxy(table, blank, space, 1, "classify")
 
     def test_single_class_errors(self):
         table, space = self.make_separable()

@@ -187,3 +187,52 @@ class TestEmbedRows:
         m = TabMTModel(codecs, ModelConfig(width=64, depth=1, heads=4), seed=0)
         emb = m.embed_rows(np.array([[0, 1]]))
         assert emb.shape == (1, 64)
+
+
+class TestComputeDtype:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_step_stays_in_model_dtype(self, monkeypatch, dtype):
+        m = TabMTModel(small_codecs(), ModelConfig(width=16, depth=2, heads=2,
+                                                   dropout=0.1, drop_path=0.1,
+                                                   dtype=dtype), seed=2)
+        made = []
+        make = ad._make
+
+        def recording_make(data, parents, backward):
+            out = make(data, parents, backward)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        rng = np.random.default_rng(0)
+        tokens = np.stack([rng.integers(0, k, 32) for k in m.cardinalities], axis=1)
+        m.training = True
+        training_step(m, tokens, np.zeros(tokens.shape, dtype=bool), rng)
+        assert made
+        assert {t.dtype for t in made} == {np.dtype(dtype)}
+        assert {t.grad.dtype for t in made if t.grad is not None} == {np.dtype(dtype)}
+        for name, p in m.named_parameters():
+            assert p.grad is not None, name
+            assert p.grad.dtype == dtype, name
+
+
+class TestFieldSubset:
+    def test_single_field_logits_equal_full_forward(self):
+        m = small_model(dtype="float64")
+        rng = np.random.default_rng(3)
+        tokens = np.stack([rng.integers(0, k, 12) for k in m.cardinalities], axis=1)
+        mask = rng.random(tokens.shape) < 0.5
+        full = m.forward(tokens, mask)
+        for j in range(m.n_fields):
+            (one,) = m.forward(tokens, mask, fields=(j,))
+            assert np.array_equal(one.data, full[j].data)
+
+    def test_embed_rows_masks_missing_cells(self):
+        m = small_model()
+        tokens = np.array([[0, 1, 1], [2, 0, 0]])
+        missing = np.array([[False, False, False], [False, True, False]])
+        sentinel = tokens.copy()
+        sentinel[missing] = 4  # one past the continuous field's vocabulary
+        got = m.embed_rows(sentinel, missing)
+        h = m._hidden(tokens, missing, None).data.mean(axis=1)
+        assert np.array_equal(got, h)
