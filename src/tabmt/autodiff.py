@@ -66,16 +66,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # Python operator sugar for the common cases.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(Tensor):
     """A trainable tensor (leaf node of every tape)."""

@@ -5,9 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime
-
-import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import decode_table, encode_table, fit_codecs
@@ -25,7 +22,7 @@ from .metrics import (
 )
 from .model import ModelConfig, TabMTModel
 from .pareto import CandidateEvaluator, pareto_search, write_front_csv
-from .schema import MISSING, load_csv, load_schema, write_csv
+from .schema import load_csv, load_schema, write_csv
 from .training import TrainConfig, train, write_loss_history
 
 
@@ -133,7 +130,7 @@ def _parse_condition(pairs: list[str], schema, codecs) -> dict[int, int]:
 def _cmd_train(args) -> int:
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema, args.missing_marker)
-    codecs = fit_codecs(table, seed=args.seed)
+    codecs = fit_codecs(table)
     tokens = encode_table(table, codecs)
     cfg = ModelConfig(width=args.width, depth=args.depth, heads=args.heads,
                       dropout=args.dropout, drop_path=args.drop_path)
@@ -214,9 +211,6 @@ def _cmd_impute(args) -> int:
     temps = _parse_temps(args.temps, model.n_fields)
     filled = impute(model, tokens, temps=temps, seed=args.seed)
     out = decode_table(filled, model.codecs)
-    # Observed cells are written as parsed, not as their bin centres.
-    out.cells = [[d if v is MISSING else v for v, d in zip(row, dec)]
-                 for row, dec in zip(table.cells, out.cells)]
     write_csv(out, args.out)
     print(f"imputed table written to {args.out}")
     return 0

@@ -127,7 +127,8 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     finally:
         model.training = was_training
     missing = np.zeros_like(table.missing)
-    return TokenTable(schema=table.schema, tokens=tokens, missing=missing)
+    return TokenTable(schema=table.schema, tokens=tokens, missing=missing,
+                      source=table.source)
 
 
 def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator

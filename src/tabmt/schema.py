@@ -266,6 +266,8 @@ class TokenTable:
     schema: TableSchema
     tokens: np.ndarray
     missing: np.ndarray = field(default=None)
+    # The parsed table the tokens were encoded from; decode_table keeps its observed cells.
+    source: RawTable | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.int64)
@@ -274,6 +276,8 @@ class TokenTable:
         self.missing = np.asarray(self.missing, dtype=bool)
         if self.tokens.shape != self.missing.shape:
             raise SchemaError("tokens/missing shape mismatch")
+        if self.source is not None and self.source.n_rows != self.tokens.shape[0]:
+            raise SchemaError("tokens/source row count mismatch")
 
     @property
     def n_rows(self) -> int:

@@ -121,6 +121,35 @@ def dp_kmeans_1d(values: np.ndarray, k: int) -> tuple[float, list[np.ndarray]]:
     return float(dp[best_c, n]), clusters
 
 
+def lloyd_1d(values: np.ndarray, k: int, max_iter: int = 200, tol: float = 1e-10
+             ) -> np.ndarray:
+    """Deterministic 1-D Lloyd's algorithm with quantile initialization.
+
+    The quantizer ``fit_continuous`` used above 64 distinct values before
+    it became exact; kept as the reference the exact one must not lose to.
+    """
+    xs = np.sort(values)
+    centers = np.quantile(xs, (np.arange(k) + 0.5) / k)
+    for _ in range(max_iter):
+        d = np.abs(xs[:, None] - centers[None, :])
+        assign = np.argmin(d, axis=1)
+        new_centers = centers.copy()
+        for c in range(k):
+            members = xs[assign == c]
+            if len(members):
+                new_centers[c] = members.mean()
+            else:
+                # Reseed an empty cluster at the point farthest from its center.
+                far = int(np.argmax(np.min(d, axis=1)))
+                new_centers[c] = xs[far]
+        new_centers = np.sort(new_centers)
+        if np.max(np.abs(new_centers - centers)) < tol:
+            centers = new_centers
+            break
+        centers = new_centers
+    return centers
+
+
 def brute_dcr(synth: np.ndarray, train_vec: np.ndarray) -> float:
     dists = []
     for s in synth:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dp_kmeans_1d
+from conftest import dp_kmeans_1d, lloyd_1d
 from tabmt.codec import (
     CodecError,
     decode_table,
@@ -19,6 +19,20 @@ from tabmt.schema import (
     RawTable,
     TableSchema,
 )
+
+
+def encode_values(codec, xs):
+    """Tokens of ``xs`` through ``encode_table``, as a one-column table."""
+    schema = TableSchema(fields=(
+        FieldSchema(name="x", kind=CONTINUOUS, max_bins=codec.cardinality),))
+    table = RawTable(schema=schema, cells=[[x] for x in xs])
+    return encode_table(table, [codec]).tokens[:, 0]
+
+
+def wcss(xs, centers):
+    """Squared error of quantizing each value to its nearest center."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return float((np.min(np.abs(xs[:, None] - centers[None, :]), axis=1) ** 2).sum())
 
 
 class TestFitContinuous:
@@ -50,13 +64,51 @@ class TestFitContinuous:
         rng = np.random.default_rng(k)
         xs = rng.choice(rng.normal(0, 1, 40), size=120)
         codec = fit_continuous(xs, max_bins=k)
-        assign = codec.encode_many(xs)
+        assign = encode_values(codec, xs)
         wcss = sum(
             ((xs[assign == c] - xs[assign == c].mean()) ** 2).sum()
             for c in range(codec.cardinality) if (assign == c).any()
         )
         wcss_dp, _ = dp_kmeans_1d(xs, k)
         assert wcss <= wcss_dp * (1 + 1e-9) + 1e-12
+
+    @pytest.mark.parametrize("k", [2, 4, 7, 12])
+    @pytest.mark.parametrize("n_distinct", [65, 120])
+    def test_matches_dp_oracle_above_old_switch(self, k, n_distinct):
+        # More than 64 distinct values, where the Lloyd path used to run.
+        rng = np.random.default_rng(1000 * k + n_distinct)
+        base = rng.normal(0, 1, n_distinct)
+        xs = np.concatenate([base, rng.choice(base, size=n_distinct // 2)])
+        assert len(np.unique(xs)) == n_distinct
+        codec = fit_continuous(xs, max_bins=k)
+        wcss_dp, _ = dp_kmeans_1d(xs, k)
+        assert abs(wcss(xs, codec.centers) - wcss_dp) <= 1e-9 * wcss_dp
+
+    @pytest.mark.parametrize("column", ["normal", "lognormal", "gamma", "uniform"])
+    def test_not_worse_than_lloyd(self, column):
+        rng = np.random.default_rng(7)
+        draw = {"normal": lambda: rng.normal(50, 10, 3000),
+                "lognormal": lambda: rng.lognormal(0, 1, 3000),
+                "gamma": lambda: rng.gamma(2.0, 3.0, 3000),
+                "uniform": lambda: rng.uniform(-1, 1, 3000)}[column]
+        xs = np.round(draw(), 2)
+        codec = fit_continuous(xs, max_bins=100)
+        old = np.unique(lloyd_1d(xs, 100))
+        assert wcss(xs, codec.centers) <= wcss(xs, old) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("max_bins", [1, 2, 9, 40, 300])
+    def test_centers_increasing_within_range_and_bounded(self, max_bins):
+        rng = np.random.default_rng(max_bins)
+        columns = [rng.normal(0, 1, 500),
+                   np.round(rng.exponential(3.0, 500), 1),
+                   1e9 + rng.random(500),
+                   1e-12 * rng.standard_t(2, 500),
+                   np.repeat([-3.0, 4.0], 40)]
+        for xs in columns:
+            c = fit_continuous(xs, max_bins=max_bins).centers
+            assert np.all(np.diff(c) > 0)
+            assert xs.min() <= c[0] and c[-1] <= xs.max()
+            assert len(c) == min(max_bins, len(np.unique(xs)))
 
     def test_minmax_ratio_identity(self):
         rng = np.random.default_rng(3)
@@ -148,8 +200,55 @@ class TestTableRoundTrip:
         assert tokens.tokens[1, 0] == codecs[0].cardinality
         assert tokens.tokens[0, 0] < codecs[0].cardinality
 
+    def test_encode_table_matches_per_cell_argmin(self):
+        rng = np.random.default_rng(11)
+        xs = rng.gamma(2.0, 1.0, 400)
+        fitted = fit_continuous(xs, max_bins=16)
+        c = fitted.centers.tolist()
+        probe_x = (xs.tolist() + c + [(a + b) / 2 for a, b in zip(c, c[1:])]
+                   + [c[0] - 1e6, c[0] - 1e-9, c[-1] + 1e-9, c[-1] + 1e6])
+        # Exact midpoints of 0, 5, 10 tie between two centers.
+        probe_z = [2.5, 7.5, -1.0, 11.0, 5.0]
+        schema = TableSchema(fields=(
+            FieldSchema(name="c", kind=CATEGORICAL),
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=16),
+            FieldSchema(name="z", kind=CONTINUOUS, max_bins=3),
+        ))
+        cats = ["p", "q", "r"]
+        cells = [[cats[i % 3], x, probe_z[i % 5]] for i, x in enumerate(probe_x)]
+        cells += [[MISSING, 1.0, 2.5], ["q", MISSING, MISSING], [MISSING, MISSING, 0.0]]
+        table = RawTable(schema=schema, cells=cells)
+        codecs = [fit_categorical(cats), fitted, fit_continuous([0.0, 5.0, 10.0], 3)]
+        out = encode_table(table, codecs)
+
+        def brute(codec, x):
+            # First index of the least distance: a tie goes to the lower center.
+            centers = codec.centers.tolist()
+            if x is MISSING:
+                return len(centers)
+            return min(range(len(centers)), key=lambda t: abs(x - centers[t]))
+
+        assert out.tokens[:, 0].tolist() == [3 if r[0] is MISSING else cats.index(r[0])
+                                             for r in cells]
+        for j in (1, 2):
+            assert out.tokens[:, j].tolist() == [brute(codecs[j], r[j]) for r in cells]
+        assert out.tokens[[0, 1], 2].tolist() == [0, 1]
+        assert out.missing.tolist() == [[v is MISSING for v in r] for r in cells]
+
+    @pytest.mark.parametrize("bad", [["a", float("nan")], ["a", float("inf")],
+                                     ["a", float("-inf")], ["unseen", 1.0]])
+    def test_encode_table_rejects_bad_cells(self, bad):
+        schema = TableSchema(fields=(
+            FieldSchema(name="c", kind=CATEGORICAL),
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=4),
+        ))
+        table = RawTable(schema=schema, cells=[["a", 1.0], bad])
+        codecs = [fit_categorical(["a", "b"]), fit_continuous([0.0, 1.0, 2.0], 4)]
+        with pytest.raises(CodecError):
+            encode_table(table, codecs)
+
     def test_encode_surjective_on_training_values(self):
         xs = np.random.default_rng(0).normal(0, 1, 500)
         codec = fit_continuous(xs, max_bins=8)
-        seen = set(codec.encode_many(xs).tolist())
+        seen = set(encode_values(codec, xs).tolist())
         assert seen == set(range(codec.cardinality))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generate_oracle, impute_oracle, make_toy_tokens
-from tabmt.codec import fit_categorical, fit_continuous
+from tabmt.codec import decode_table, encode_table, fit_categorical, fit_continuous
 from tabmt.generation import (
     GenerationSpec,
     generate,
@@ -15,7 +15,15 @@ from tabmt.generation import (
     sample_field,
 )
 from tabmt.model import ModelConfig, TabMTModel
-from tabmt.schema import TokenTable
+from tabmt.schema import (
+    CATEGORICAL,
+    CONTINUOUS,
+    MISSING,
+    FieldSchema,
+    RawTable,
+    TableSchema,
+    TokenTable,
+)
 from tabmt.training import sample_mask
 
 
@@ -166,6 +174,28 @@ class TestSingleHeadPathMatchesOracle:
         out = impute(m, tt, temps=temps, seed=2, batch_size=40)
         want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
         assert np.array_equal(out.tokens, want)
+
+
+class TestImputeKeepsObservedCells:
+    def test_encode_impute_decode_writes_observed_cells_as_parsed(self):
+        schema = TableSchema(fields=(
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=8),
+            FieldSchema(name="y", kind=CATEGORICAL),
+        ))
+        rng = np.random.default_rng(0)
+        train = RawTable(schema=schema, cells=[[float(v), "pos" if v > 0 else "neg"]
+                                               for v in rng.normal(size=300)])
+        codecs = [fit_continuous(train.column(0), 8), fit_categorical(train.column(1))]
+        assert not {0.123456789, -1.5e-07} & set(codecs[0].centers.tolist())
+        model = TabMTModel(codecs, ModelConfig(width=16, depth=1, heads=2), seed=0)
+        sparse = RawTable(schema=schema, cells=[[0.123456789, MISSING],
+                                                [MISSING, "pos"],
+                                                [-1.5e-07, "neg"]])
+        filled = impute(model, encode_table(sparse, codecs), seed=1)
+        out = decode_table(filled, codecs)
+        assert out.cells[0][0] == 0.123456789 and out.cells[0][1] in ("neg", "pos")
+        assert out.cells[1][0] in codecs[0].centers.tolist() and out.cells[1][1] == "pos"
+        assert out.cells[2] == [-1.5e-07, "neg"]
 
 
 class TestOrderDistribution:
