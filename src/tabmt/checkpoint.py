@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict
 
@@ -49,25 +50,45 @@ def save_checkpoint(path: str, model: TabMTModel, schema: TableSchema | None,
         "seed": seed,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    # A reader never sees a half-written file: write aside, then rename.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for raw in blobs:
             fh.write(raw)
+    os.replace(tmp, path)
+
+
+def _check_layout(params: list[dict], blob_len: int):
+    """Parameters must tile the blob exactly, in order from offset 0."""
+    offset = 0
+    for pm in params:
+        size = int(np.prod(pm["shape"])) * np.dtype(pm["dtype"]).itemsize
+        if pm["nbytes"] != size or pm["offset"] != offset:
+            raise CheckpointError(f"parameter {pm['name']}: bad offset or size")
+        offset += size
+    if offset != blob_len:
+        raise CheckpointError(f"blob is {blob_len} bytes, header lists {offset}")
 
 
 def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header["format_version"] != FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {header['format_version']}")
-        blob = fh.read()
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    start = len(MAGIC) + 8
+    try:
+        (hlen,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start:start + hlen])
+        version = header["format_version"]
+    except (struct.error, ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path}: short or unparsable header") from exc
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    blob = memoryview(data)[start + hlen:]
+    _check_layout(header["params"], len(blob))
     codecs = [codec_from_json(c) for c in header["codecs"]]
     cfg = ModelConfig(**header["model_config"])
     model = TabMTModel(codecs, cfg, seed=header["seed"])
@@ -76,7 +97,7 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
         raise CheckpointError("parameter names do not match model topology")
     for pm in header["params"]:
         dt = np.dtype(pm["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(pm["shape"]) or 1),
+        arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(pm["shape"])),
                             offset=pm["offset"])
         arr = arr.astype(np.dtype(pm["dtype"])).reshape(pm["shape"])
         named[pm["name"]].data = arr.copy()

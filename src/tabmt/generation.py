@@ -61,12 +61,29 @@ def _resolve_temps(model: TabMTModel, temps) -> list[float]:
     return [float(t) for t in temps]
 
 
+def _field_order(fields, rng: np.random.Generator) -> np.ndarray:
+    """The uniformly random order in which generate and impute unmask ``fields``."""
+    return rng.permutation(np.asarray(fields, dtype=np.int64))
+
+
+def _field_logits(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
+                  j: int) -> np.ndarray:
+    """Field j's logits per row, computed once per distinct (tokens, mask)
+    row state: at inference a row's logits depend on its own state only."""
+    key = np.ascontiguousarray(np.where(mask, -1, tokens), dtype=np.int64)
+    states = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(states, return_index=True, return_inverse=True)
+    logits = model.forward(tokens[first], mask[first], fields=(j,))[0].data
+    return logits[inverse]
+
+
 def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
     """Ancestral generation in a uniformly random field order.
 
     All cells start masked except conditioned fields; one permutation of
     the unconditioned indices is drawn per batch, and each field is
-    sampled from softmax(logits / tau_u) then unmasked.
+    sampled from softmax(logits / tau_u) then unmasked. Each step computes
+    the logits once per distinct row state, so the first step runs one row.
     """
     l = model.n_fields
     temps = _resolve_temps(model, spec.temps)
@@ -89,9 +106,8 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
                 for j, t in spec.condition.items():
                     tokens[:, j] = t
                     mask[:, j] = False
-                order = rng.permutation(free) if free else []
-                for j in order:
-                    logits = model.forward(tokens, mask, fields=(j,))[0].data
+                for j in _field_order(free, rng):
+                    logits = _field_logits(model, tokens, mask, j)
                     tokens[:, j] = sample_field(logits, temps[j], rng)
                     mask[:, j] = False
                 out_tokens[start:start + n] = tokens
@@ -102,7 +118,11 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
 
 def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
            batch_size: int = 512) -> TokenTable:
-    """Fill missing cells in random order, keeping observed cells fixed."""
+    """Fill missing cells in random order, keeping observed cells fixed.
+
+    Field j's logits are computed for the rows where j is still masked,
+    once per distinct row state.
+    """
     temps_l = _resolve_temps(model, temps)
     rng = np.random.default_rng(seed)
     tokens = table.tokens.copy()
@@ -115,13 +135,12 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
                 end = min(start + batch_size, n_total)
                 batch = tokens[start:end]
                 mask = table.missing[start:end].copy()
-                for j in rng.permutation(l):
+                for j in _field_order(range(l), rng):
                     rows = mask[:, j]
                     if not rows.any():
                         continue
-                    logits = model.forward(np.where(mask, 0, batch), mask,
-                                           fields=(j,))[0].data
-                    batch[rows, j] = sample_field(logits[rows], temps_l[j], rng)
+                    logits = _field_logits(model, batch[rows], mask[rows], j)
+                    batch[rows, j] = sample_field(logits, temps_l[j], rng)
                     mask[:, j] = False
                 tokens[start:end] = batch
     finally:
@@ -129,24 +148,3 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     missing = np.zeros_like(table.missing)
     return TokenTable(schema=table.schema, tokens=tokens, missing=missing,
                       source=table.source)
-
-
-def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
-                              ) -> dict[int, np.ndarray]:
-    """Empirical distribution of the masked subset at each generation step.
-
-    Subsets are encoded as bitmasks. Returns, per step t in 0..l, an array
-    of frequencies indexed by bitmask. At step t every size-(l-t) subset
-    should appear with probability 1 / C(l, l-t).
-    """
-    if l > 6:
-        raise ValueError("oracle is for small l only (exhaustive enumeration)")
-    orders = np.argsort(rng.random((samples, l)), axis=1)
-    bits = 1 << orders
-    out: dict[int, np.ndarray] = {}
-    masked = np.full(samples, (1 << l) - 1, dtype=np.int64)
-    out[0] = np.bincount(masked, minlength=1 << l) / samples
-    for t in range(l):
-        masked = masked & ~bits[:, t]
-        out[t + 1] = np.bincount(masked, minlength=1 << l) / samples
-    return out

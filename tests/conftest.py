@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from tabmt.codec import fit_categorical
-from tabmt.generation import sample_field
+from tabmt.generation import _field_order, sample_field
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.schema import TokenTable
 from tabmt.training import TrainConfig, train
@@ -89,8 +91,10 @@ def dp_kmeans_1d(values: np.ndarray, k: int) -> tuple[float, list[np.ndarray]]:
     """
     xs = np.sort(np.asarray(values, dtype=np.float64))
     n = len(xs)
-    pref = np.concatenate([[0.0], np.cumsum(xs)])
-    pref2 = np.concatenate([[0.0], np.cumsum(xs * xs)])
+    # Centred values keep the prefix sums of squares from cancelling.
+    xc = xs - xs.mean()
+    pref = np.concatenate([[0.0], np.cumsum(xc)])
+    pref2 = np.concatenate([[0.0], np.cumsum(xc * xc)])
 
     def cost(i, j):
         # WCSS of xs[i:j]
@@ -148,6 +152,49 @@ def lloyd_1d(values: np.ndarray, k: int, max_iter: int = 200, tol: float = 1e-10
             break
         centers = new_centers
     return centers
+
+
+def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
+                              ) -> dict[int, np.ndarray]:
+    """Empirical distribution of the masked subset at each generation step,
+    over ``samples`` orders drawn by the order function ``generate`` and
+    ``impute`` use.
+
+    Subsets are encoded as bitmasks. Returns, per step t in 0..l, an array
+    of frequencies indexed by bitmask. At step t every size-(l-t) subset
+    should appear with probability 1 / C(l, l-t).
+    """
+    if l > 6:
+        raise ValueError("oracle is for small l only (exhaustive enumeration)")
+    fields = np.arange(l)
+    orders = np.array([_field_order(fields, rng) for _ in range(samples)])
+    bits = 1 << orders
+    out: dict[int, np.ndarray] = {}
+    masked = np.full(samples, (1 << l) - 1, dtype=np.int64)
+    out[0] = np.bincount(masked, minlength=1 << l) / samples
+    for t in range(l):
+        masked = masked & ~bits[:, t]
+        out[t + 1] = np.bincount(masked, minlength=1 << l) / samples
+    return out
+
+
+@contextlib.contextmanager
+def count_forward_rows():
+    """Record ``(rows, fields)`` for every ``TabMTModel.forward`` call made
+    inside the block; the original method is restored on exit."""
+    calls: list[tuple[int, tuple | None]] = []
+    original = TabMTModel.forward
+
+    def counted(self, tokens, mask, rng=None, fields=None):
+        calls.append((len(tokens), None if fields is None
+                      else tuple(int(j) for j in fields)))
+        return original(self, tokens, mask, rng, fields)
+
+    TabMTModel.forward = counted
+    try:
+        yield calls
+    finally:
+        TabMTModel.forward = original
 
 
 def brute_dcr(synth: np.ndarray, train_vec: np.ndarray) -> float:

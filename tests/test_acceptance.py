@@ -14,6 +14,7 @@ from conftest import (
     brute_dcr,
     brute_precision_recall,
     make_toy_tokens,
+    order_distribution_oracle,
     record_acceptance,
     toy_codecs,
     train_toy,
@@ -22,7 +23,7 @@ from tabmt import autodiff as ad
 from tabmt.cli import main as cli_main
 from tabmt.codec import decode_table, fit_categorical, fit_continuous
 from tabmt.flowcheck import FlowRecord, check_invariants
-from tabmt.generation import GenerationSpec, generate, order_distribution_oracle
+from tabmt.generation import GenerationSpec, generate
 from tabmt.metrics import dcr, precision_recall
 from tabmt.model import ModelConfig, OrderedEmbedding, TabMTModel
 from tabmt.optim import AdamW

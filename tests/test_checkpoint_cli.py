@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_toy_tokens, toy_codecs
-from tabmt.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from tabmt import checkpoint
+from tabmt.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from tabmt.cli import main
 from tabmt.codec import decode_table
 from tabmt.model import ModelConfig, TabMTModel
@@ -90,6 +92,81 @@ class TestCheckpoint:
         save_checkpoint(str(p1), m, None)
         save_checkpoint(str(p2), m, None)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def saved_bytes(tmp_path) -> bytes:
+    m = TabMTModel(toy_codecs(), ModelConfig(width=8, depth=1, heads=2), seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), m, toy_schema())
+    return path.read_bytes()
+
+
+def split_checkpoint(data: bytes) -> tuple[dict, bytes]:
+    (hlen,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    return json.loads(data[start:start + hlen]), data[start + hlen:]
+
+
+def join_checkpoint(header: dict, blob: bytes) -> bytes:
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + blob
+
+
+class TestCheckpointLoadFailsLoudly:
+    def load(self, tmp_path, data):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    def test_every_truncation(self, tmp_path):
+        data = saved_bytes(tmp_path)
+        header, blob = split_checkpoint(data)
+        assert join_checkpoint(header, blob) == data
+        header_end = len(data) - len(blob)
+        cuts = [*range(header_end + 3), *range(header_end + 3, len(data), 101),
+                len(data) - 1]
+        for cut in cuts:
+            self.load(tmp_path, data[:cut])
+
+    def test_trailing_bytes(self, tmp_path):
+        self.load(tmp_path, saved_bytes(tmp_path) + b"\x00")
+
+    def test_unparsable_header(self, tmp_path):
+        data = saved_bytes(tmp_path)
+        start = len(MAGIC) + 8
+        self.load(tmp_path, data[:start] + b"}" + data[start + 1:])
+        self.load(tmp_path, data[:len(MAGIC)] + struct.pack("<Q", 1 << 40)
+                  + data[start:])
+        header, blob = split_checkpoint(data)
+        self.load(tmp_path, join_checkpoint(["not", "a", "header"], blob))
+
+    @pytest.mark.parametrize("edit", ["nbytes", "offset", "zero_shape", "swap"])
+    def test_layout_mismatch(self, tmp_path, edit):
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        p0, p1 = header["params"][:2]
+        if edit == "nbytes":
+            p0["nbytes"] += 4
+        elif edit == "offset":
+            p1["offset"] += 4
+        elif edit == "zero_shape":
+            p0["shape"] = [0] + p0["shape"][1:]
+        else:
+            p0["offset"], p1["offset"] = p1["offset"], p0["offset"]
+        self.load(tmp_path, join_checkpoint(header, blob))
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        old = saved_bytes(tmp_path)
+        m = TabMTModel(toy_codecs(), ModelConfig(width=16, depth=1, heads=2), seed=1)
+
+        def fail(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(checkpoint.os, "replace", fail)
+        with pytest.raises(OSError):
+            save_checkpoint(str(path), m, None)
+        assert path.read_bytes() == old
 
 
 class TestCmdTrain:

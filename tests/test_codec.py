@@ -84,6 +84,17 @@ class TestFitContinuous:
         wcss_dp, _ = dp_kmeans_1d(xs, k)
         assert abs(wcss(xs, codec.centers) - wcss_dp) <= 1e-9 * wcss_dp
 
+    @pytest.mark.parametrize("k", [2, 4, 7, 12])
+    def test_matches_dp_oracle_far_from_zero(self, k):
+        # Raw prefix sums of squares cancel at 1e6; both sides must centre.
+        rng = np.random.default_rng(k)
+        xs = 1e6 + rng.uniform(0, 1, 58)
+        assert len(np.unique(xs)) == 58
+        codec = fit_continuous(xs, max_bins=k)
+        wcss_dp, _ = dp_kmeans_1d(xs, k)
+        assert wcss_dp > 0
+        assert abs(wcss(xs, codec.centers) - wcss_dp) <= 1e-9 * wcss_dp
+
     @pytest.mark.parametrize("column", ["normal", "lognormal", "gamma", "uniform"])
     def test_not_worse_than_lloyd(self, column):
         rng = np.random.default_rng(7)

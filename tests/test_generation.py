@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generate_oracle, impute_oracle, make_toy_tokens
+from conftest import (
+    count_forward_rows,
+    generate_oracle,
+    impute_oracle,
+    make_toy_tokens,
+    order_distribution_oracle,
+)
 from tabmt.codec import decode_table, encode_table, fit_categorical, fit_continuous
 from tabmt.generation import (
     GenerationSpec,
+    _field_logits,
+    _field_order,
     generate,
     impute,
-    order_distribution_oracle,
     sample_field,
 )
 from tabmt.model import ModelConfig, TabMTModel
@@ -136,14 +143,28 @@ class TestImpute:
         assert np.all(out.tokens < 4)
 
 
-def mixed_model():
-    """Untrained float32 model with categorical and continuous fields."""
+def mixed_model(dtype="float32"):
+    """Untrained model with categorical and continuous fields."""
     rng = np.random.default_rng(0)
     codecs = [fit_categorical(list("abcde")),
               fit_continuous(rng.normal(size=200).tolist(), max_bins=12),
               fit_categorical(list("xy")),
               fit_continuous(rng.exponential(size=200).tolist(), max_bins=7)]
-    return TabMTModel(codecs, ModelConfig(width=16, depth=2, heads=2), seed=4)
+    return TabMTModel(codecs, ModelConfig(width=16, depth=2, heads=2, dtype=dtype),
+                      seed=4)
+
+
+def sparse_table(model, n, seed, p_missing=0.4):
+    """Random tokens with missing cells holding the sentinel token."""
+    rng = np.random.default_rng(seed)
+    tokens = np.stack([rng.integers(0, k, n) for k in model.cardinalities], axis=1)
+    missing = rng.random(tokens.shape) < p_missing
+    tokens[missing] = np.array(model.cardinalities)[np.nonzero(missing)[1]]
+    return TokenTable(schema=None, tokens=tokens, missing=missing)
+
+
+def distinct_states(tokens, mask):
+    return len(np.unique(np.where(mask, -1, tokens), axis=0))
 
 
 class TestSingleHeadPathMatchesOracle:
@@ -174,6 +195,76 @@ class TestSingleHeadPathMatchesOracle:
         out = impute(m, tt, temps=temps, seed=2, batch_size=40)
         want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
         assert np.array_equal(out.tokens, want)
+
+
+class TestRowStateDedup:
+    """The encoder runs once per distinct (tokens, mask) row state."""
+
+    def test_generate_runs_each_state_once(self):
+        m = mixed_model()
+        l, count, bs = m.n_fields, 150, 64
+        spec = GenerationSpec(count=count, temps=(1.0, 0.7, 1.0, 2.0), seed=3,
+                              batch_size=bs)
+        with count_forward_rows() as calls:
+            out = generate(m, spec).tokens
+        assert len(calls) == l * 3
+        for b, start in enumerate(range(0, count, bs)):
+            batch = out[start:start + bs]
+            steps = calls[b * l:(b + 1) * l]
+            assert steps[0][0] == 1
+            mask = np.ones(batch.shape, dtype=bool)
+            for rows, (j,) in steps:
+                assert rows == distinct_states(batch, mask)
+                mask[:, j] = False
+        assert sum(r for r, _ in calls) < count * l / 2
+
+    def test_impute_runs_masked_rows_once_per_state(self):
+        m = mixed_model()
+        tt = sparse_table(m, 90, seed=5)
+        with count_forward_rows() as calls:
+            out = impute(m, tt, seed=2, batch_size=40).tokens
+        calls = iter(calls)
+        for start in range(0, 90, 40):
+            batch = out[start:start + 40]
+            mask = tt.missing[start:start + 40].copy()
+            for _ in range(int(mask.any(axis=0).sum())):
+                rows, (j,) = next(calls)
+                todo = mask[:, j]
+                assert rows == distinct_states(batch[todo], mask[todo])
+                assert rows <= todo.sum() < len(batch)
+                mask[:, j] = False
+            assert not mask.any()
+        assert next(calls, None) is None
+
+    def test_conditioned_argmax_generate_runs_one_row_per_pass(self):
+        m = mixed_model()
+        spec = GenerationSpec(count=100, temps=(1e-8,) * 4, condition={2: 1}, seed=0)
+        with count_forward_rows() as calls:
+            out = generate(m, spec).tokens
+        assert [rows for rows, _ in calls] == [1, 1, 1]
+        assert np.all(out == out[0])
+
+    def test_float64_matches_oracle_and_full_batch_logits(self):
+        m = mixed_model("float64")
+        temps = [1.0, 0.7, 1e-8, 2.0]
+        for condition in ({}, {2: 1}):
+            spec = GenerationSpec(count=70, temps=tuple(temps), condition=condition,
+                                  seed=9, batch_size=32)
+            want = generate_oracle(m, temps, condition, 70, 9, batch_size=32)
+            assert np.array_equal(generate(m, spec).tokens, want)
+        tt = sparse_table(m, 90, seed=6)
+        want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
+        assert np.array_equal(impute(m, tt, temps=temps, seed=2, batch_size=40).tokens,
+                              want)
+        pool = sparse_table(m, 12, seed=7)
+        pick = np.random.default_rng(8).integers(0, 12, 200)
+        tokens, mask = pool.tokens[pick], pool.missing[pick]
+        assert distinct_states(tokens, mask) <= 12
+        for j in range(m.n_fields):
+            full = m.forward(tokens, mask, fields=(j,))[0].data
+            assert full.dtype == np.float64
+            np.testing.assert_allclose(_field_logits(m, tokens, mask, j), full,
+                                       rtol=0, atol=1e-12)
 
 
 class TestImputeKeepsObservedCells:
@@ -235,6 +326,21 @@ class TestOrderDistribution:
             for s in subsets:
                 cond_train = train_freq[s] / stratum
                 assert abs(gen_dist[t][s] - cond_train) < 0.01
+
+    def test_generate_and_impute_follow_field_order(self):
+        # The order function the tests above sample is the one that ships:
+        # each call's first draw is its first batch's order.
+        m = mixed_model()
+        with count_forward_rows() as calls:
+            generate(m, GenerationSpec(count=5, condition={1: 0}, seed=13))
+        want = _field_order([0, 2, 3], np.random.default_rng(13))
+        assert [f for _, (f,) in calls] == want.tolist()
+        tt = sparse_table(m, 30, seed=1, p_missing=0.9)
+        assert tt.missing.any(axis=0).all()
+        with count_forward_rows() as calls:
+            impute(m, tt, seed=14)
+        want = _field_order(range(m.n_fields), np.random.default_rng(14))
+        assert [f for _, (f,) in calls] == want.tolist()
 
     def test_fixed_order_visits_only_l_subsets(self):
         # An autoregressive fixed order visits exactly l distinct non-empty
