@@ -82,8 +82,9 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
 
     All cells start masked except conditioned fields; one permutation of
     the unconditioned indices is drawn per batch, and each field is
-    sampled from softmax(logits / tau_u) then unmasked. Each step computes
-    the logits once per distinct row state, so the first step runs one row.
+    sampled from softmax(logits / tau_u) then unmasked. All rows share
+    the first step's state, so it runs one row; later steps run every row,
+    as their count of distinct states would vary with the drawn order.
     """
     l = model.n_fields
     temps = _resolve_temps(model, spec.temps)
@@ -106,9 +107,10 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
                 for j, t in spec.condition.items():
                     tokens[:, j] = t
                     mask[:, j] = False
-                for j in _field_order(free, rng):
-                    logits = _field_logits(model, tokens, mask, j)
-                    tokens[:, j] = sample_field(logits, temps[j], rng)
+                for step, j in enumerate(_field_order(free, rng)):
+                    rows = n if step else 1
+                    logits = model.forward(tokens[:rows], mask[:rows], fields=(j,))[0].data
+                    tokens[:, j] = sample_field(np.repeat(logits, n // rows, axis=0), temps[j], rng)
                     mask[:, j] = False
                 out_tokens[start:start + n] = tokens
     finally:
