@@ -96,6 +96,9 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
     if set(named) != {pm["name"] for pm in header["params"]}:
         raise CheckpointError("parameter names do not match model topology")
     for pm in header["params"]:
+        want = named[pm["name"]].data
+        if tuple(pm["shape"]) != want.shape or np.dtype(pm["dtype"]) != want.dtype:
+            raise CheckpointError(f"parameter {pm['name']}: shape or dtype does not match the model")
         dt = np.dtype(pm["dtype"]).newbyteorder("<")
         arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(pm["shape"])),
                             offset=pm["offset"])

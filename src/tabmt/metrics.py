@@ -2,18 +2,21 @@
 
 Rows are compared in a shared Euclidean feature space: continuous
 fields min-max scaled by the training min/max, categorical fields
-one-hot expanded. All nearest-neighbor searches are exact.
+one-hot expanded. Nearest-neighbor searches are exact, in two stages: a
+screen computes all squared distances as |a|^2 + |b|^2 - 2a.b, one BLAS
+product per block of rows, with a per-row bound on its rounding error; the
+pairs it cannot decide are recomputed by explicit differences. So every
+distance in a result equals a row-by-row brute-force one bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Parameter
 from .codec import CategoricalCodec, ContinuousCodec, FieldCodec
 from .optim import AdamW
 from .schema import MISSING, RawTable
@@ -72,31 +75,66 @@ class MetricSpace:
         return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
 
 
-def _pair_chunk(n_cols: int, dim: int, budget: int = 262_144) -> int:
-    # Keep the (chunk, n_cols, dim) difference tensor within the budget:
-    # 2 MiB of float64 stays in a core's cache instead of streaming to DRAM.
-    return max(1, budget // max(1, n_cols * dim))
+_BLOCK = 1 << 18  # float64 elements in a screen block; a recompute chunk takes 1/4
+_U, _TINY = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
 
 
-def _sq_dists(block: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact squared distances via explicit differences.
+def _screen(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, s2, bound)`` per block of rows of ``a``: s2[i, j] is
+    |a[start + i] - b[j]|^2 as |a|^2 + |b|^2 - 2a.b, within bound[i] of it."""
+    centre = b.mean(axis=0)
+    a0, b0 = a - centre, b - centre
+    na, nb = np.einsum("ij,ij->i", a0, a0), np.einsum("ij,ij->i", b0, b0)
+    # Bound: with u the unit roundoff, a', b' the centred rows and M = (|a'| +
+    # max |b'|)^2, any summation order has |fl(x.y) - x.y| <= gamma_d |x|.|y|,
+    # gamma_d = d u / (1 - d u). The norms and product are off by gamma_d M, the
+    # two additions below by 2u M; centring moves |a' - b'|^2 from |a - b|^2 by
+    # 2u M; the explicit differences and sum are off by gamma_{d+2} M. Twice
+    # gamma_{2d+8} M, plus the smallest normal for underflow, also covers the
+    # second-order terms and the rounding of M and of the callers' thresholds.
+    n = 2 * a.shape[1] + 8
+    bound = 2 * n * _U / (1 - n * _U) * (np.sqrt(na) + np.sqrt(nb.max())) ** 2 + _TINY
+    rows = max(1, _BLOCK // len(b))
+    for start in range(0, len(a), rows):
+        s2 = (-2.0 * a0[start:start + rows]) @ b0.T
+        s2 += nb
+        s2 += na[start:start + rows, None]
+        yield start, s2, bound[start:start + rows]
 
-    Matches a row-by-row double-precision oracle bit-for-bit, unlike the
-    faster (a^2 + b^2 - 2ab) expansion.
-    """
-    diff = block[:, None, :] - b[None, :, :]
-    np.multiply(diff, diff, out=diff)
-    return diff.sum(axis=2)
+
+def _sq_dists(a: np.ndarray, b: np.ndarray, mask: np.ndarray):
+    """Squared distances by explicit differences, which match a row-by-row
+    oracle bit for bit, from each a[i] to the rows of ``b`` where ``mask[i]``:
+    padded with inf to one width, and with their columns (None: all of b)."""
+    counts = np.count_nonzero(mask, axis=1)
+    cols, real = None, mask
+    if 2 * counts.max() <= len(b):  # else gathering costs more than taking all of b
+        real = np.arange(counts.max()) < counts[:, None]
+        cols = np.zeros(real.shape, dtype=np.intp)
+        cols[real] = np.flatnonzero(mask) % len(b)
+    out = np.empty(real.shape)
+    step = max(1, (_BLOCK >> 2) // max(1, real.shape[1] * a.shape[1]))
+    for s in range(0, len(a), step):
+        diff = a[s:s + step, None, :] - (b if cols is None else b[cols[s:s + step]])
+        np.multiply(diff, diff, out=diff)
+        out[s:s + step] = diff.sum(axis=2)
+    out[~real] = np.inf
+    return out, cols
 
 
-def _chunked_min_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row of ``a``, the Euclidean distance to its nearest row of ``b``."""
+def _kth(x: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest value."""
+    return x.min(axis=1) if k == 1 else np.partition(x, k - 1, axis=1)[:, k - 1]
+
+
+def _kth_dists(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row of ``a`` to its k-th nearest row of ``b``."""
     out = np.empty(len(a))
-    chunk = _pair_chunk(len(b), a.shape[1])
-    for start in range(0, len(a), chunk):
-        block = a[start:start + chunk]
-        d2 = _sq_dists(block, b)
-        out[start:start + len(block)] = np.sqrt(d2.min(axis=1))
+    for start, s2, bound in _screen(a, b):
+        # Only a pair within 2 bounds of the screened k-th value can be the
+        # k-th. Written as not-greater, so that a nan screen value counts.
+        near = ~(s2 > (_kth(s2, k) + 2 * bound)[:, None])
+        out[start:start + len(s2)] = np.sqrt(_kth(_sq_dists(a[start:start + len(s2)], b, near)[0], k))
     return out
 
 
@@ -108,7 +146,9 @@ def dcr(synth: np.ndarray, train: np.ndarray) -> float:
         raise MetricError("dcr requires non-empty inputs")
     if synth.shape[1] != train.shape[1]:
         raise MetricError("dcr dimension mismatch")
-    return float(np.median(_chunked_min_dists(synth, train)))
+    if not (np.isfinite(synth).all() and np.isfinite(train).all()):
+        raise MetricError("dcr requires finite inputs")
+    return float(np.median(_kth_dists(synth, train, 1)))
 
 
 def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
@@ -162,28 +202,18 @@ def diversity(synth_tokens: np.ndarray, real_tokens: np.ndarray) -> float:
     return float(np.mean(covs))
 
 
-def _kth_nn_radius(points: np.ndarray, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point."""
-    n = len(points)
-    out = np.empty(n)
-    chunk = _pair_chunk(n, points.shape[1])
-    for start in range(0, n, chunk):
-        block = points[start:start + chunk]
-        d2 = _sq_dists(block, points)
-        for i in range(len(block)):
-            d2[i, start + i] = np.inf
-        out[start:start + len(block)] = np.sqrt(np.partition(d2, k - 1, axis=1)[:, k - 1])
-    return out
-
-
 def _fraction_covered(queries: np.ndarray, centers: np.ndarray,
                       radii: np.ndarray) -> float:
+    # sqrt(d2) <= r if d2 <= r^2, not if d2 > r^2 / (1 - u)^2; the margin spans that.
+    r2 = radii * radii
+    margin = 8 * _U * r2 + _TINY
     hits = 0
-    chunk = _pair_chunk(len(centers), queries.shape[1])
-    for start in range(0, len(queries), chunk):
-        block = queries[start:start + chunk]
-        d = np.sqrt(_sq_dists(block, centers))
-        hits += int((d <= radii[None, :]).any(axis=1).sum())
+    for start, s2, bound in _screen(queries, centers):
+        inside = (s2 + bound[:, None] <= r2 - margin).any(axis=1)
+        unsure = ~(s2 - bound[:, None] > r2 + margin) & ~inside[:, None]
+        d2, cols = _sq_dists(queries[start:start + len(s2)], centers, unsure)
+        inside |= (np.sqrt(d2) <= radii[cols]).any(axis=1)
+        hits += int(inside.sum())
     return hits / len(queries)
 
 
@@ -199,10 +229,13 @@ def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
     synth_emb = np.asarray(synth_emb, dtype=np.float64)
     if len(real_emb) <= k or len(synth_emb) <= k:
         raise MetricError(f"need more than k={k} points on each side")
+    if not (np.isfinite(real_emb).all() and np.isfinite(synth_emb).all()):
+        raise MetricError("precision_recall requires finite embeddings")
     if np.allclose(real_emb, real_emb[0]) or np.allclose(synth_emb, synth_emb[0]):
         raise MetricError("degenerate (all-identical) embeddings")
-    real_r = _kth_nn_radius(real_emb, k)
-    synth_r = _kth_nn_radius(synth_emb, k)
+    # Each point is its own nearest neighbour, at distance exactly 0.
+    real_r = _kth_dists(real_emb, real_emb, k + 1)
+    synth_r = _kth_dists(synth_emb, synth_emb, k + 1)
     precision = _fraction_covered(synth_emb, real_emb, real_r)
     recall = _fraction_covered(real_emb, synth_emb, synth_r)
     return precision, recall
@@ -226,16 +259,18 @@ def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, classes: np.ndarray) -> fl
 def _train_logistic(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 300,
                     lr: float = 0.1, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    w = Parameter(rng.normal(0, 0.01, (x.shape[1], n_classes)))
-    b = Parameter(np.zeros(n_classes))
+    w = SimpleNamespace(data=rng.normal(0, 0.01, (x.shape[1], n_classes)), grad=None)
+    b = SimpleNamespace(data=np.zeros(n_classes), grad=None)
     opt = AdamW([w, b], lr=lr, weight_decay=1e-4)
-    active = np.ones(len(x), dtype=bool)
+    rows, scale = np.arange(len(x)), 1.0 / len(x)
     for _ in range(steps):
-        opt.zero_grad()
-        logits = ad.add(ad.matmul(ad.Tensor(x), w), b)
-        loss, count = ad.cross_entropy_sum(logits, y, active)
-        loss = ad.scale(loss, 1.0 / count)
-        loss.backward()
+        # Gradient of the mean cross entropy, in the order a tape computes it.
+        z = x @ w.data + b.data
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, y] -= 1.0
+        g = scale * p
+        w.grad, b.grad = x.T @ g, g.sum(axis=0)
         opt.step()
     return w.data, b.data
 
@@ -301,12 +336,4 @@ class MetricsReport:
     mle_proxy: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "dcr_median": self.dcr_median,
-            "correlation_hist_counts": self.correlation_hist_counts,
-            "correlation_hist_edges": self.correlation_hist_edges,
-            "diversity": self.diversity,
-            "precision": self.precision,
-            "recall": self.recall,
-            "mle_proxy": self.mle_proxy,
-        }
+        return asdict(self)

@@ -7,9 +7,12 @@ import contextlib
 import numpy as np
 import pytest
 
+from tabmt import autodiff as ad
+from tabmt.autodiff import Parameter
 from tabmt.codec import fit_categorical
 from tabmt.generation import _field_order, sample_field
 from tabmt.model import ModelConfig, TabMTModel
+from tabmt.optim import AdamW
 from tabmt.schema import TokenTable
 from tabmt.training import TrainConfig, train
 
@@ -204,6 +207,12 @@ def brute_dcr(synth: np.ndarray, train_vec: np.ndarray) -> float:
     return float(np.median(dists))
 
 
+def explicit_min_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each row of ``a`` to its nearest row of ``b``, by
+    explicit differences one row of ``a`` at a time."""
+    return np.array([np.sqrt(((s - b) ** 2).sum(axis=1).min()) for s in a])
+
+
 def brute_precision_recall(real: np.ndarray, synth: np.ndarray, k: int = 3
                            ) -> tuple[float, float]:
     def radii(points):
@@ -272,3 +281,22 @@ def impute_oracle(model: TabMTModel, table: TokenTable, temps: list[float],
             batch[rows, j] = sample_field(logits[rows], temps[j], rng)
             mask[:, j] = False
     return tokens
+
+
+def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 300,
+                         lr: float = 0.1, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Logistic regression fit by AdamW on gradients from the autodiff tape:
+    the reference the tape-free ``metrics._train_logistic`` must equal."""
+    rng = np.random.default_rng(seed)
+    w = Parameter(rng.normal(0, 0.01, (x.shape[1], n_classes)))
+    b = Parameter(np.zeros(n_classes))
+    opt = AdamW([w, b], lr=lr, weight_decay=1e-4)
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(steps):
+        opt.zero_grad()
+        logits = ad.add(ad.matmul(ad.Tensor(x), w), b)
+        loss, count = ad.cross_entropy_sum(logits, y, active)
+        loss = ad.scale(loss, 1.0 / count)
+        loss.backward()
+        opt.step()
+    return w.data, b.data

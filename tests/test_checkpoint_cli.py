@@ -155,6 +155,17 @@ class TestCheckpointLoadFailsLoudly:
             p0["offset"], p1["offset"] = p1["offset"], p0["offset"]
         self.load(tmp_path, join_checkpoint(header, blob))
 
+    @pytest.mark.parametrize("edit", ["extra_category", "dtype"])
+    def test_parameters_must_fit_model(self, tmp_path, edit):
+        # The header's codecs and config build the model; each stored
+        # parameter must have that model's shape and dtype.
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        if edit == "extra_category":
+            header["codecs"][0]["values"].append("e")
+        else:
+            header["model_config"]["dtype"] = "float64"
+        self.load(tmp_path, join_checkpoint(header, blob))
+
     def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "m.ckpt"
         old = saved_bytes(tmp_path)

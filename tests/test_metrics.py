@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import brute_dcr, brute_precision_recall
+from conftest import (
+    brute_dcr,
+    brute_precision_recall,
+    explicit_min_dists,
+    train_logistic_taped,
+)
+from tabmt import metrics
 from tabmt.codec import fit_categorical, fit_continuous
 from tabmt.metrics import (
     MetricError,
@@ -146,6 +157,118 @@ class TestPrecisionRecall:
             precision_recall(np.ones((10, 2)), np.random.default_rng(0).normal(size=(10, 2)))
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dcr_rejects(self, bad):
+        rng = np.random.default_rng(12)
+        clean, dirty = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
+        dirty[4, 1] = bad
+        with pytest.raises(MetricError):
+            dcr(dirty, clean)
+        with pytest.raises(MetricError):
+            dcr(clean, dirty)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_precision_recall_rejects(self, bad):
+        rng = np.random.default_rng(13)
+        clean, dirty = rng.normal(size=(20, 3)), rng.normal(size=(30, 3))
+        dirty[4, 1] = bad
+        with pytest.raises(MetricError):
+            precision_recall(clean, dirty)
+        with pytest.raises(MetricError):
+            precision_recall(dirty, clean)
+
+
+def assert_exact(real, synth, k=3):
+    """dcr and precision/recall equal the brute-force oracles exactly."""
+    assert dcr(synth, real) == brute_dcr(synth, real)
+    assert dcr(real, synth) == brute_dcr(real, synth)
+    assert precision_recall(real, synth, k) == brute_precision_recall(real, synth, k)
+
+
+class TestExactOnAdversarialClouds:
+    """Clouds where the screen's expansion cancels or many pairs tie."""
+
+    def test_offset_clouds(self):
+        rng = np.random.default_rng(14)
+        real = rng.normal(size=(60, 4)) + 1e6
+        synth = rng.normal(size=(50, 4)) + 1e6
+        assert dcr(synth, real) == brute_dcr(synth, real)
+        # Wide enough that precision_recall does not call them degenerate.
+        assert_exact(100 * real - 99e6, 100 * synth - 99e6)
+
+    def test_one_hot_rows(self):
+        rng = np.random.default_rng(15)
+
+        def rows(n):
+            return np.concatenate([np.eye(4)[rng.integers(0, 4, n)],
+                                   np.eye(3)[rng.integers(0, 3, n)]], axis=1)
+
+        assert_exact(rows(40), rows(30))
+        assert_exact(rows(40), rows(30), k=5)
+
+    def test_integer_grid_rows(self):
+        rng = np.random.default_rng(16)
+        grid = rng.integers(-2, 3, size=(90, 3)).astype(np.float64)
+        assert_exact(grid[:50], grid[50:])
+        assert_exact(grid[:50] + 1e3, grid[50:] + 1e3, k=4)
+
+    def test_duplicate_points(self):
+        rng = np.random.default_rng(17)
+        base = rng.normal(size=(15, 3))
+        real = np.concatenate([base, base, base[:6]])
+        synth = np.concatenate([base[:10], rng.normal(size=(10, 3))])
+        assert dcr(base[:10], real) == 0.0
+        assert_exact(real, synth)
+        assert_exact(real, synth, k=2)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_query_exactly_at_radius(self, offset):
+        # With k = 3 the four real points 0, 1, 2, 3 have radii 3, 2, 2, 3,
+        # so -3 and 6 lie exactly on a ball's boundary and only one ulp
+        # further out lie outside every ball.
+        real = np.array([[0.0], [1.0], [2.0], [3.0]]) + offset
+        synth = np.array([[-3.0], [6.0], [np.nextafter(-3.0 + offset, -np.inf) - offset],
+                          [np.nextafter(6.0 + offset, np.inf) - offset], [1.5]]) + offset
+        assert precision_recall(real, synth, k=3)[0] == 0.6
+        assert_exact(real, synth)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matches_brute_force_on_grid_clouds(data):
+    dim = data.draw(st.integers(1, 4))
+    values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0])
+    real, synth = (data.draw(arrays(np.float64, (data.draw(st.integers(4, 14)), dim),
+                                    elements=values)) for _ in range(2))
+    assert dcr(synth, real) == brute_dcr(synth, real)
+    if not (np.allclose(real, real[0]) or np.allclose(synth, synth[0])):
+        assert precision_recall(real, synth, 3) == brute_precision_recall(real, synth, 3)
+
+
+def test_dcr_block_budget():
+    rng = np.random.default_rng(18)
+    synth, train = rng.random((1000, 84)), rng.random((8000, 84))
+    tracemalloc.start()
+    try:
+        got = dcr(synth, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == float(np.median(explicit_min_dists(synth, train)))
+    assert peak < 32 * 2**20
+
+
+class TestTrainLogistic:
+    @pytest.mark.parametrize("n, dim, classes", [(500, 5, 4), (24, 265, 10), (16, 1043, 4)])
+    def test_matches_taped_fit(self, n, dim, classes):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=(n, dim)), rng.integers(0, classes, n)
+        w, b = metrics._train_logistic(x, y, classes, seed=3)
+        w_ref, b_ref = train_logistic_taped(x, y, classes, seed=3)
+        assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+
+
 class TestMleProxy:
     def make_separable(self, n=400, seed=0):
         rng = np.random.default_rng(seed)
@@ -251,3 +374,21 @@ class TestMleProxy:
         degenerate = RawTable(schema=table.schema, cells=cells)
         with pytest.raises(MetricError):
             mle_proxy(degenerate, table, space, 1, "classify")
+
+    def test_same_score_as_taped_fit(self, monkeypatch):
+        table, space = self.make_separable()
+        test_table, _ = self.make_separable(seed=99)
+        cells = [[x, 2.0 * x + 1.0] for x, _ in table.cells]
+        reg = RawTable(schema=TableSchema(fields=(
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=50),
+            FieldSchema(name="t", kind=CONTINUOUS, max_bins=50),
+        ), target_index=1), cells=cells)
+        reg_space = MetricSpace.fit(reg, [space.codecs[0], fit_continuous(reg.column(1), 50)])
+
+        def scores():
+            return (mle_proxy(table, test_table, space, 1, "classify", seed=5),
+                    mle_proxy(reg, reg, reg_space, 1, "regress", seed=5))
+
+        got = scores()
+        monkeypatch.setattr(metrics, "_train_logistic", train_logistic_taped)
+        assert got == scores()
