@@ -1,12 +1,20 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
 Only the operations the masked-transformer model needs are implemented:
-matmul (2-D and batched), broadcast add/multiply, softmax, layer norm,
-GELU, sigmoid, dropout/drop-path, embedding lookup, stack/select, means
-and a fused masked cross entropy. Tapes are dynamic: every op records a
-backward closure on the output tensor and ``Tensor.backward`` walks the
-graph in reverse topological order. Inside ``no_grad()`` ops record no
-tape, so inference keeps no parents or closures alive.
+matmul (2-D and batched), a fused linear layer, broadcast add/multiply,
+softmax, layer norm, GELU, sigmoid, dropout/drop-path, embedding lookup,
+stack/select and a fused masked cross entropy. Tapes are dynamic: every
+op records a backward closure on the output tensor and ``Tensor.backward``
+walks the graph in reverse topological order. Inside ``no_grad()`` ops
+record no tape, so inference keeps no parents or closures alive.
+
+Softmax, GELU and layer norm work through row blocks of 2^16 elements,
+so their temporaries stay in cache, and write each block into a
+preallocated output. They apply the unblocked formulas in the same order
+to each row, and every reduction runs along one row, so the bits do not
+depend on the block size. The first gradient a tensor receives is kept
+without a copy when it is C-contiguous; other views are copied, because
+their layout would change the order of a later sum.
 
 Training runs in float32 by default; gradient checking uses float64.
 """
@@ -79,8 +87,11 @@ def _as_tensor(x):
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # No op mutates a gradient in place, so a C-contiguous view can be kept.
+    # Any other view is copied: its layout would change the order in which
+    # a later ``_unbroadcast`` sums it.
     if t.grad is None:
-        t.grad = g if (g.base is None and g.flags.owndata) else g.copy()
+        t.grad = g if (g.base is None or g.flags.c_contiguous) else g.copy()
     else:
         t.grad = t.grad + g
 
@@ -177,6 +188,24 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """``add(matmul(x, w), b)`` for 2-D ``x`` as one op, which adds the bias
+    in place into the fresh product."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            _accum(x, np.matmul(g, w.data.T))
+        if w.requires_grad:
+            _accum(w, np.matmul(x.data.T, g))
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _make(out_data, (x, w, b), backward)
+
+
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
@@ -239,32 +268,41 @@ def select(a, axis: int, index: int) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def mean(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    out_data = a.data.mean(axis=axis)
-    count = a.data.size if axis is None else a.data.shape[axis]
+# Softmax, GELU and layer norm run over row blocks of ``x.reshape(-1, d)``
+# of at most this many elements (256 KiB of float32), so that their
+# temporaries stay in cache.
+_BLOCK = 1 << 16
 
-    def backward(g):
-        if axis is None:
-            _accum(a, np.full_like(a.data, g / count))
-        else:
-            _accum(a, np.repeat(np.expand_dims(g, axis), count, axis=axis) / count)
 
-    return _make(out_data, (a,), backward)
+def _rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as (rows, last axis), in the float dtype numpy computes it in."""
+    x = x.astype(np.result_type(x, 1.0), copy=False)
+    return x.reshape(-1, x.shape[-1]) if x.ndim else x.reshape(1, 1)
+
+
+def _blocks(n: int, d: int) -> list[slice]:
+    step = max(1, _BLOCK // max(1, d))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    x = _rows(a.data)
+    out = np.empty_like(x)
+    for sl in _blocks(*x.shape):
+        e = np.exp(x[sl] - np.maximum.reduce(x[sl], axis=-1, keepdims=True))
+        np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out[sl])
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        _accum(a, out_data * (g - dot))
+        g = _rows(g)
+        ga = np.empty(g.shape, np.result_type(g, out))
+        for sl in _blocks(*g.shape):
+            dot = np.add.reduce(g[sl] * out[sl], axis=-1, keepdims=True)
+            np.multiply(out[sl], g[sl] - dot, out=ga[sl])
+        _accum(a, ga.reshape(a.data.shape))
 
-    return _make(out_data, (a,), backward)
+    return _make(out.reshape(a.data.shape), (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -283,44 +321,71 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a) -> Tensor:
     """Tanh-approximation GELU."""
     a = _as_tensor(a)
-    x = a.data
-    # x * x * x, not x**3, which takes numpy's much slower general power path.
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    x = _rows(a.data)
+    out = np.empty_like(x)
+    # Without a tape, tanh is kept one block at a time.
+    t = np.empty_like(x) if _grad_enabled and a.requires_grad else None
+    for sl in _blocks(*x.shape):
+        xb = x[sl]
+        # tanh(c * (x + 0.044715 * (x * x * x))), in place. x * x * x, not
+        # x**3, which takes numpy's much slower general power path.
+        tb = np.multiply(xb, xb, out=None if t is None else t[sl])
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.multiply(0.5 * xb, 1.0 + tb, out=out[sl])
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        _accum(a, g * da)
+        g = _rows(g)
+        ga = np.empty(g.shape, np.result_type(g, x))
+        for sl in _blocks(*x.shape):
+            xb, tb = x[sl], t[sl]
+            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
+            da = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * dinner
+            np.multiply(g[sl], da, out=ga[sl])
+        _accum(a, ga.reshape(a.data.shape))
 
-    return _make(out_data, (a,), backward)
+    return _make(out.reshape(a.data.shape), (a,), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Layer norm over the last axis with learned affine."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
+    x = _rows(a.data)
+    n, d = x.shape
+    out = np.empty(x.shape, np.result_type(x, gain.data, bias.data))
+    taped = _grad_enabled and (a.requires_grad or gain.requires_grad or bias.requires_grad)
+    xhat = np.empty_like(x) if taped else None
+    inv = np.empty((n, 1), x.dtype) if taped else None
+    # np.add.reduce, then / d, is what ndarray.mean computes, bit for bit.
+    for sl in _blocks(n, d):
+        xc = x[sl] - np.add.reduce(x[sl], axis=-1, keepdims=True) / d
+        iv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
+        xh = np.multiply(xc, iv, out=xhat[sl] if taped else xc)
+        if taped:
+            inv[sl] = iv
+        np.add(xh * gain.data, bias.data, out=out[sl])
 
     def backward(g):
-        n = x.shape[-1]
+        # The gain and bias gradients sum over the original shape: the order
+        # of the sums depends on it.
         if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+            _accum(gain, _unbroadcast(g * xhat.reshape(g.shape), gain.data.shape))
         if bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
         if a.requires_grad:
-            gx = g * gain.data
-            gmean = gx.mean(axis=-1, keepdims=True)
-            gdot = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv * (gx - gmean - xhat * gdot))
+            g = _rows(g)
+            ga = np.empty(g.shape, np.result_type(g, gain.data, x))
+            for sl in _blocks(n, d):
+                gx = g[sl] * gain.data
+                gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+                gdot = np.add.reduce(gx * xhat[sl], axis=-1, keepdims=True) / d
+                np.multiply(inv[sl], gx - gmean - xhat[sl] * gdot, out=ga[sl])
+            _accum(a, ga.reshape(a.data.shape))
 
-    return _make(out_data, (a, gain, bias), backward)
+    return _make(out.reshape(a.data.shape), (a, gain, bias), backward)
 
 
 def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -369,37 +434,3 @@ def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:
         _accum(logits, g * p)
 
     return _make(out_data, (logits,), backward), count
-
-
-def grad_check(f, params, h: float = 1e-5, rng=None, max_coords: int = 8) -> float:
-    """Compare reverse-mode gradients against central finite differences.
-
-    ``f`` is a closure returning a scalar loss Tensor; it is re-evaluated
-    after each parameter perturbation. Returns the max relative error over
-    up to ``max_coords`` sampled coordinates per parameter. Parameters
-    must be float64 for the stated tolerances to hold.
-    """
-    rng = rng or np.random.default_rng(0)
-    for p in params:
-        p.grad = None
-    loss = f()
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    worst = 0.0
-    for p, g_ad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        n = flat.size
-        coords = rng.choice(n, size=min(max_coords, n), replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            fp = float(f().data)
-            flat[c] = orig - h
-            fm = float(f().data)
-            flat[c] = orig
-            g_fd = (fp - fm) / (2 * h)
-            g_a = float(g_ad.reshape(-1)[c])
-            err = abs(g_a - g_fd) / max(1.0, abs(g_a), abs(g_fd))
-            worst = max(worst, err)
-    return worst

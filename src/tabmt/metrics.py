@@ -231,7 +231,7 @@ def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
         raise MetricError(f"need more than k={k} points on each side")
     if not (np.isfinite(real_emb).all() and np.isfinite(synth_emb).all()):
         raise MetricError("precision_recall requires finite embeddings")
-    if np.allclose(real_emb, real_emb[0]) or np.allclose(synth_emb, synth_emb[0]):
+    if (real_emb == real_emb[0]).all() or (synth_emb == synth_emb[0]).all():
         raise MetricError("degenerate (all-identical) embeddings")
     # Each point is its own nearest neighbour, at distance exactly 0.
     real_r = _kth_dists(real_emb, real_emb, k + 1)

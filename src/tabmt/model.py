@@ -132,9 +132,9 @@ class _EncoderBlock:
         h = self.heads
         dh = d // h
         flat = ad.reshape(x, (n * l, d))
-        q = ad.add(ad.matmul(flat, self.wq), self.bq)
-        k = ad.add(ad.matmul(flat, self.wk), self.bk)
-        v = ad.add(ad.matmul(flat, self.wv), self.bv)
+        q = ad.linear(flat, self.wq, self.bq)
+        k = ad.linear(flat, self.wk, self.bk)
+        v = ad.linear(flat, self.wv, self.bv)
 
         def split_heads(t):
             t = ad.reshape(t, (n, l, h, dh))
@@ -151,7 +151,7 @@ class _EncoderBlock:
         ctx = ad.reshape(ctx, (n, h, l, dh))
         ctx = ad.transpose(ctx, (0, 2, 1, 3))
         ctx = ad.reshape(ctx, (n * l, d))
-        out = ad.add(ad.matmul(ctx, self.wo), self.bo)
+        out = ad.linear(ctx, self.wo, self.bo)
         return ad.reshape(out, (n, l, d))
 
     def forward(self, x: Tensor, rng, training) -> Tensor:
@@ -161,9 +161,9 @@ class _EncoderBlock:
         f = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         n, l, d = f.shape
         f = ad.reshape(f, (n * l, d))
-        f = ad.gelu(ad.add(ad.matmul(f, self.w1), self.b1))
+        f = ad.gelu(ad.linear(f, self.w1, self.b1))
         f = ad.dropout(f, self.dropout, rng, training)
-        f = ad.add(ad.matmul(f, self.w2), self.b2)
+        f = ad.linear(f, self.w2, self.b2)
         f = ad.reshape(f, (n, l, d))
         return ad.add(x, ad.drop_path(f, self.drop_path, rng, training))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -300,3 +301,137 @@ def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: in
         loss.backward()
         opt.step()
     return w.data, b.data
+
+
+# ---- autodiff: test-only ops and the kernels the blocked ones replaced ----
+
+def mean(a, axis=None) -> ad.Tensor:
+    a = ad._as_tensor(a)
+    out_data = a.data.mean(axis=axis)
+    count = a.data.size if axis is None else a.data.shape[axis]
+
+    def backward(g):
+        if axis is None:
+            ad._accum(a, np.full_like(a.data, g / count))
+        else:
+            ad._accum(a, np.repeat(np.expand_dims(g, axis), count, axis=axis) / count)
+
+    return ad._make(out_data, (a,), backward)
+
+
+def grad_check(f, params, h: float = 1e-5, rng=None, max_coords: int = 8) -> float:
+    """Compare reverse-mode gradients against central finite differences.
+
+    ``f`` is a closure returning a scalar loss Tensor; it is re-evaluated
+    after each parameter perturbation. Returns the max relative error over
+    up to ``max_coords`` sampled coordinates per parameter. Parameters
+    must be float64 for the stated tolerances to hold.
+    """
+    rng = rng or np.random.default_rng(0)
+    for p in params:
+        p.grad = None
+    loss = f()
+    loss.backward()
+    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+
+    worst = 0.0
+    for p, g_ad in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        n = flat.size
+        coords = rng.choice(n, size=min(max_coords, n), replace=False)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + h
+            fp = float(f().data)
+            flat[c] = orig - h
+            fm = float(f().data)
+            flat[c] = orig
+            g_fd = (fp - fm) / (2 * h)
+            g_a = float(g_ad.reshape(-1)[c])
+            err = abs(g_a - g_fd) / max(1.0, abs(g_a), abs(g_fd))
+            worst = max(worst, err)
+    return worst
+
+
+def accum_copying(t, g):
+    """``_accum`` before it kept contiguous views: every view is copied."""
+    if t.grad is None:
+        t.grad = g if (g.base is None and g.flags.owndata) else g.copy()
+    else:
+        t.grad = t.grad + g
+
+
+def softmax_oracle(a):
+    a = ad._as_tensor(a)
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    out_data = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
+        accum_copying(a, out_data * (g - dot))
+
+    return ad._make(out_data, (a,), backward)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_oracle(a):
+    a = ad._as_tensor(a)
+    x = a.data
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    out_data = 0.5 * x * (1.0 + t)
+
+    def backward(g):
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+        accum_copying(a, g * da)
+
+    return ad._make(out_data, (a,), backward)
+
+
+def layer_norm_oracle(a, gain, bias, eps: float = 1e-5):
+    a, gain, bias = ad._as_tensor(a), ad._as_tensor(gain), ad._as_tensor(bias)
+    x = a.data
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out_data = xhat * gain.data + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            accum_copying(gain, ad._unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            accum_copying(bias, ad._unbroadcast(g, bias.data.shape))
+        if a.requires_grad:
+            gx = g * gain.data
+            gmean = gx.mean(axis=-1, keepdims=True)
+            gdot = (gx * xhat).mean(axis=-1, keepdims=True)
+            accum_copying(a, inv * (gx - gmean - xhat * gdot))
+
+    return ad._make(out_data, (a, gain, bias), backward)
+
+
+def linear_oracle(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+@contextlib.contextmanager
+def oracle_kernels():
+    """Run the autodiff ops inside the block as they were before the
+    row-blocked kernels, ``ad.linear`` and the copy-free ``_accum``."""
+    patches = {"softmax": softmax_oracle, "gelu": gelu_oracle,
+               "layer_norm": layer_norm_oracle, "linear": linear_oracle,
+               "_accum": accum_copying}
+    saved = {name: getattr(ad, name) for name in patches}
+    for name, fn in patches.items():
+        setattr(ad, name, fn)
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(ad, name, fn)

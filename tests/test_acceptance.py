@@ -13,6 +13,7 @@ import scipy.stats
 from conftest import (
     brute_dcr,
     brute_precision_recall,
+    grad_check,
     make_toy_tokens,
     order_distribution_oracle,
     record_acceptance,
@@ -188,8 +189,8 @@ def test_criterion_04_full_model_gradient_fidelity():
                 total = term if total is None else ad.add(total, term)
         return total
 
-    err = ad.grad_check(f, m.parameters(), h=1e-6,
-                        rng=np.random.default_rng(2))
+    err = grad_check(f, m.parameters(), h=1e-6,
+                     rng=np.random.default_rng(2))
     elapsed = time.perf_counter() - t0
     ok = err < 1e-4 and elapsed < 60.0
     _report(4, "full-model finite-difference gradients", ok,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import grad_check, mean
 from tabmt import autodiff as ad
-from tabmt.autodiff import Parameter, Tensor, grad_check
+from tabmt.autodiff import Parameter, Tensor
 from tabmt.optim import AdamW, cosine_schedule
 
 RNG = np.random.default_rng(0)
@@ -78,7 +79,7 @@ class TestGradients:
         w = rand_param(5)
 
         def f():
-            return ad.mean(ad.mul(w, w))
+            return mean(ad.mul(w, w))
 
         assert grad_check(f, [w], h=1e-5) < 1e-8
 
@@ -111,7 +112,7 @@ class TestGradients:
                 h = ad.matmul(a, ad.transpose(a, (0, 2, 1)))
             elif op_name == "reciprocal":
                 h = ad.reciprocal(ad.add(ad.mul(w, w), Tensor(np.ones((4, 6)))))
-            return ad.mean(ad.mul(h, h))
+            return mean(ad.mul(h, h))
 
         rng = np.random.default_rng(42)
         assert grad_check(f, [w], h=1e-6, rng=rng) < 1e-4
@@ -120,7 +121,7 @@ class TestGradients:
         w = rand_param(5)
 
         def f():
-            return ad.mean(ad.mul(w, w))
+            return mean(ad.mul(w, w))
 
         for p in [w]:
             p.grad = None

@@ -1,0 +1,188 @@
+"""The row-blocked softmax, GELU and layer norm, ``ad.linear`` and the
+copy-free ``_accum`` give the bits of the kernels they replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import (
+    accum_copying,
+    gelu_oracle,
+    layer_norm_oracle,
+    linear_oracle,
+    oracle_kernels,
+    softmax_oracle,
+)
+from tabmt import autodiff as ad
+from tabmt.autodiff import Parameter, Tensor
+from tabmt.codec import fit_categorical, fit_continuous
+from tabmt.model import ModelConfig, TabMTModel
+from tabmt.training import training_step
+
+# (rows, d) and n-d shapes around the 2^16-element row block: row counts that
+# are not a multiple of the block, less than one block, one row, rows wider
+# than a block, and 3-D inputs.
+SHAPES = [(600, 256), (4097, 16), (37, 64), (1, 256), (1, 5), (3, 70000),
+          (130, 16, 64), (3, 5, 7), (2, 3, 2)]
+
+
+def assert_same(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+def run_op(op, x, extra, upstream):
+    """Forward of ``op`` and one backward step from ``upstream``; returns the
+    output and the gradients of the input and the extra arguments."""
+    xs = [Parameter(x.copy())] + [Parameter(e.copy()) for e in extra]
+    out = op(*xs)
+    out._backward(upstream)
+    return out.data, [p.grad for p in xs]
+
+
+def inputs(shape, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(shape) * 3).astype(dtype)
+    d = shape[-1]
+    extra = [(1 + 0.1 * rng.standard_normal(d)).astype(dtype),
+             (0.1 * rng.standard_normal(d)).astype(dtype)]
+    upstream = rng.standard_normal(shape).astype(dtype)
+    return x, extra, upstream
+
+
+KERNELS = {"softmax": (ad.softmax, softmax_oracle, 0),
+           "gelu": (ad.gelu, gelu_oracle, 0),
+           "layer_norm": (ad.layer_norm, layer_norm_oracle, 2)}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64", "int64"])
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_matches_oracle(name, shape, dtype):
+    new, old, n_extra = KERNELS[name]
+    x, extra, upstream = inputs(shape, dtype)
+    extra = extra[:n_extra]
+    out, grads = run_op(new, x, extra, upstream)
+    with oracle_kernels():
+        want_out, want_grads = run_op(old, x, extra, upstream)
+    assert_same(out, want_out)
+    for g, want in zip(grads, want_grads):
+        assert_same(g, want)
+    with ad.no_grad():
+        assert_same(new(Tensor(x), *[Tensor(e) for e in extra]).data, want_out)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_linear_matches_add_of_matmul(dtype):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((300, 24)).astype(dtype)
+    w = rng.standard_normal((24, 40)).astype(dtype)
+    b = rng.standard_normal(40).astype(dtype)
+    upstream = rng.standard_normal((300, 40)).astype(dtype)
+    out, grads = run_op(ad.linear, x, [w, b], upstream)
+    with oracle_kernels():
+        xs = [Parameter(a.copy()) for a in (x, w, b)]
+        y = linear_oracle(*xs)
+        # Walk the two-node tape the way Tensor.backward does.
+        y._backward(upstream)
+        y._parents[0]._backward(y._parents[0].grad)
+    assert_same(out, y.data)
+    for g, p in zip(grads, xs):
+        assert_same(g, p.grad)
+
+
+class TestAccum:
+    def test_contiguous_view_is_kept(self):
+        t = Parameter(np.zeros((4, 6)))
+        g = np.arange(24.0)
+        ad._accum(t, g.reshape(4, 6))
+        assert np.shares_memory(t.grad, g)
+
+    def test_other_view_is_copied_in_c_order(self):
+        t = Parameter(np.zeros((6, 4)))
+        g = np.arange(24.0).reshape(4, 6)
+        ad._accum(t, g.T)
+        assert not np.shares_memory(t.grad, g)
+        assert t.grad.flags.c_contiguous and np.array_equal(t.grad, g.T)
+
+    def test_owned_array_is_kept_in_its_layout(self):
+        t = Parameter(np.zeros((6, 4)))
+        g = np.asfortranarray(np.arange(24.0).reshape(6, 4))
+        ad._accum(t, g)
+        assert t.grad is g
+        u = Parameter(np.zeros((6, 4)))
+        accum_copying(u, g)
+        assert u.grad is g
+
+
+def gelu_scratch_bytes(x):
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            out = ad.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.data.nbytes
+
+
+def test_inference_gelu_keeps_no_full_size_temporary():
+    x = Tensor(np.random.default_rng(2).standard_normal((4096, 256)).astype(np.float32))
+    assert gelu_scratch_bytes(x) <= 1 << 20
+
+
+def random_model(l, seed, dtype, dropout=0.0):
+    """An untrained model over ``l`` mixed fields (field 0 continuous)."""
+    rng = np.random.default_rng(seed)
+    codecs = []
+    for j in range(l):
+        if j == 0 or rng.random() < 0.5:
+            values = (rng.standard_normal(120) * rng.uniform(0.5, 50)).tolist()
+            codecs.append(fit_continuous(values, max_bins=int(rng.integers(2, 20))))
+        else:
+            k = int(rng.integers(2, 50))
+            codecs.append(fit_categorical([f"v{i}" for i in range(k)]))
+    cfg = ModelConfig(width=32, depth=2, heads=4, dropout=dropout,
+                      drop_path=dropout, dtype=dtype)
+    return TabMTModel(codecs, cfg, seed=seed)
+
+
+def random_batch(model, n, seed):
+    rng = np.random.default_rng(seed)
+    cards = np.array(model.cardinalities)
+    tokens = np.stack([rng.integers(0, k, n) for k in cards], axis=1)
+    missing = rng.random(tokens.shape) < 0.1
+    tokens[missing] = cards[np.nonzero(missing)[1]]
+    return tokens, missing
+
+
+def step_and_forward(l, seed, dtype, dropout):
+    m = random_model(l, seed, dtype, dropout)
+    tokens, missing = random_batch(m, max(150, 2400 // l), seed)
+    m.training = True
+    loss = training_step(m, tokens, missing, np.random.default_rng(seed))
+    m.training = False
+    grads = [(name, p.grad) for name, p in m.named_parameters()]
+    mask = np.random.default_rng(seed + 1).random(tokens.shape) < 0.5
+    mask |= missing
+    logits = [t.data for t in m.forward(tokens, mask)]
+    with ad.no_grad():
+        single = [m.forward(tokens, mask, fields=(j,))[0].data for j in range(l)]
+    return loss, grads, logits, single, m.embed_rows(tokens, missing)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("l, seed, dropout", [(2, 11, 0.0), (3, 12, 0.0),
+                                               (8, 13, 0.1), (16, 14, 0.0)])
+def test_training_step_matches_oracle(l, seed, dropout, dtype):
+    loss, grads, logits, single, emb = step_and_forward(l, seed, dtype, dropout)
+    with oracle_kernels():
+        want = step_and_forward(l, seed, dtype, dropout)
+    assert loss == want[0]
+    for (name, g), (_, g_old) in zip(grads, want[1]):
+        assert g is not None, name
+        assert_same(g, g_old)
+    for got, exp in zip(logits + single, want[2] + want[3]):
+        assert_same(got, exp)
+    assert_same(emb, want[4])

@@ -155,6 +155,16 @@ class TestPrecisionRecall:
     def test_degenerate_embeddings_error(self):
         with pytest.raises(MetricError):
             precision_recall(np.ones((10, 2)), np.random.default_rng(0).normal(size=(10, 2)))
+        with pytest.raises(MetricError):
+            precision_recall(np.random.default_rng(0).normal(size=(10, 2)),
+                             np.full((10, 2), 1e6))
+
+    def test_clouds_far_from_the_origin_are_not_degenerate(self):
+        # A tolerance relative to |x| would call these clouds all-identical.
+        rng = np.random.default_rng(17)
+        real = rng.normal(size=(100, 5)) + 1e6
+        synth = rng.normal(size=(120, 5)) + 1e6
+        assert precision_recall(real, synth) == brute_precision_recall(real, synth)
 
 
 class TestNonFinite:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,27 @@ class TestParetoSearch:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "temp_1,temp_2,dcr,quality"
         assert len(lines) == len(front) + 1
+
+    def test_known_multi_point_front(self):
+        """On objectives that trade off by construction, the search returns
+        several mutually non-dominated candidates."""
+
+        class TradeOff:
+            # DCR rises with temps[0] and quality falls with it; temps[1]
+            # only costs quality, so candidates with it far from 1 are
+            # dominated.
+            model = SimpleNamespace(n_fields=2)
+
+            def evaluate(self, temps):
+                return float(temps[0]), -float(temps[0]) - abs(float(temps[1]) - 1.0)
+
+        front = pareto_search(TradeOff(), generations=3, population=8, seed=0)
+        assert len(front) >= 3
+        objs = [(c.dcr, c.quality) for c in front]
+        assert not any(dominates(a, b) for a in objs for b in objs)
+        for c in front:
+            assert all(TEMP_LO <= t <= TEMP_HI for t in c.temps)
+            assert (c.dcr, c.quality) == TradeOff().evaluate(c.temps)
 
     def test_deterministic_search(self, evaluator):
         a = pareto_search(evaluator, generations=1, population=6, seed=5)
