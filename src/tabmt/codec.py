@@ -1,11 +1,12 @@
 """Per-field value/token codecs.
 
-Categorical fields get a first-occurrence vocabulary. Continuous fields
-are quantized with exact weighted 1-D k-means over their distinct values
-(the monotone-split dynamic programme of Ckmeans.1d.dp, Wang & Song 2011)
-and carry the min-max ratio vector used by the ordered embeddings. Each
-codec encodes and decodes a whole column at once; a continuous value
-encodes to its nearest center, a tie going to the lower one.
+Categorical fields get a first-occurrence vocabulary. Continuous fields are
+quantized with exact weighted 1-D k-means over their distinct values (the
+monotone-split dynamic programme of Ckmeans.1d.dp, Wang & Song 2011), one
+batched pass for all of a table's continuous fields, and carry the min-max
+ratio vector used by the ordered embeddings. Each codec encodes and decodes
+a whole column at once; a continuous value encodes to its nearest center, a
+tie going to the lower one.
 """
 
 from __future__ import annotations
@@ -104,89 +105,112 @@ def _ratios(centers: np.ndarray) -> np.ndarray:
     return (centers - centers[0]) / (centers[-1] - centers[0])
 
 
-def _kmeans_1d(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
-    """Centers of an optimal k-means clustering of sorted distinct values.
+def _kmeans_1d(columns) -> list[np.ndarray]:
+    """Centers of an optimal k-means clustering of each column's values.
 
-    ``x`` holds n >= k distinct values in increasing order and ``w`` their
-    weights. Clusters are contiguous runs of ``x``, so the least
-    within-cluster sum of squares D[c, j] of the first j values in c
-    clusters is min over i of D[c-1, i] + cost(i, j), solved one cluster
-    count c at a time. The leftmost optimal split i is monotone in j and
-    never below the split of layer c-1, so each layer is a
-    divide-and-conquer over j: one numpy pass per recursion depth, whose
-    candidate splits sum to O(n).
+    Each of ``columns`` is a triple ``(x, w, k)``: n >= k distinct values in
+    increasing order, their weights and the cluster count. Clusters are
+    contiguous runs of ``x``, so the least within-cluster sum of squares
+    D[c, j] of the first j values in c clusters is min over i of
+    D[c-1, i] + cost(i, j), solved one cluster count c at a time. The
+    leftmost optimal split i is monotone in j and never below the split of
+    layer c-1, so each layer is a divide-and-conquer over j: per depth, one
+    set of numpy calls on all columns with k >= c, over O(n) candidates.
     """
-    n = len(x)
-    # Centred values keep the prefix sums of squares from cancelling.
-    xc = x - np.dot(w, x) / w.sum()
-    pw = np.concatenate([[0.0], np.cumsum(w)])
-    ps = np.concatenate([[0.0], np.cumsum(w * xc)])
-    ps2 = np.concatenate([[0.0], np.cumsum(w * xc * xc)])
+    ns, ks = np.array([(len(x), k) for x, _, k in columns]).T
+    spans = ns - ks
+    base = np.cumsum(ns + 1) - (ns + 1)  # where each column's prefix sums start
+    sums = []
+    for x, w, _ in columns:
+        # Centred values keep the prefix sums of squares from cancelling.
+        xc = x - np.dot(w, x) / w.sum()
+        sums.append([np.concatenate([[0.0], np.cumsum(v)]) for v in (w, w * xc, w * xc * xc)])
+    pw, ps, ps2 = (np.concatenate(s) for s in zip(*sums))
     # cost(i, j) = ps2[j] - ps2[i] - (ps[j] - ps[i])**2 / (pw[j] - pw[i]) is
     # the weighted sum of squares of x[i:j] about its mean.
 
     # Layer c solves j = c - 1 + o for offsets o in 1..span+1, since each
-    # later cluster needs a value. cur[o] holds the split found for offset
-    # o; cur[0] and the offsets past span+1 bound the search. Depth by
-    # depth, the odd multiples o of h are solved between o - h and o + h.
-    span = n - k
-    top = 1 << (span + 1).bit_length()
-    levels, h = [], top // 2
-    while h:
-        o = np.arange(h, span + 2, 2 * h)
-        levels.append((o, o - h, o + h))
-        h //= 2
-    cur = np.full(2 * top, n)
-    low = np.empty(span + 2)
-    pos = np.arange(2 * n + 2)
-    best = np.full(n + 1, np.inf)
-    best[0] = 0.0
-    split = np.zeros((k + 1, n + 1), dtype=np.int64)
-    for c in range(1, k + 1):
+    # later cluster needs a value. split[c, slot[t] + o] is the split (an
+    # index into the concatenation) column t found for offset o; slots 0 and
+    # span+2 bound the search by c - 1 and n, and slot span+3 is the unbounded
+    # split layer c+1 reads past layer c's last offset. Depth by depth, the
+    # odd multiples o of h are solved between o - h and o + h.
+    slot = np.cumsum(spans + 4) - (spans + 4)
+    row = np.repeat(base, spans + 4)
+    row[slot + spans + 2] += ns
+    split = np.tile(row.astype(np.int32), (ks.max() + 1, 1))  # int32 halves it
+    best = np.full(len(ps), np.inf)
+    best[base] = 0.0
+    for c in range(1, ks.max() + 1):
+        if c == 1 or c - 1 in ks:
+            on = np.flatnonzero(ks >= c)  # the columns that reach layer c
+            levels, h = [], 1 << int(spans[on].max() + 1).bit_length()
+            while h := h // 2:
+                t, i = np.nonzero(np.arange(h, spans.max() + 2, 2 * h) <= spans[on, None] + 1)
+                t, o = on[t], h + 2 * h * i
+                at = slot[t] + o
+                levels.append((at, at - h, slot[t] + np.minimum(o + h, spans[t] + 2),
+                               at + 1 + (o > spans[t]), base[t] + o - 1))
+        cur, prev = split[c], split[c - 1]
+        cur[slot[on]] = base[on] + c - 1
         # Minimising best[i] + cost(i, j) over i; ps2[j] is added back after.
         g = best - ps2
-        cur[0] = c - 1
-        for o, left, right in levels:
-            j = o + (c - 1)
+        for at, left, right, up, j0 in levels:
+            j = j0 + c
             hi = np.minimum(cur[right], j - 1)
-            lo = np.minimum(np.maximum(cur[left], split[c - 1, j]), hi)
+            lo = np.minimum(np.maximum(cur[left], prev[up]), hi)
             count = hi - lo + 1
             first = np.cumsum(count) - count
-            m = first[-1] + count[-1]
-            cand = pos[:m] + np.repeat(lo - first, count)
-            jj = np.repeat(j, count)
-            s = ps[jj] - ps[cand]
-            total = g[cand] - s * s / (pw[jj] - pw[cand])
-            low[o] = least = np.minimum.reduceat(total, first)
-            # The leftmost candidate at each range's minimum.
-            at = np.flatnonzero(total == np.repeat(least, count))
-            cur[o] = cand[at[np.searchsorted(at, first)]]
-        best = np.full(n + 1, np.inf)
-        best[c:c + span + 1] = low[1:] + ps2[c:c + span + 1]
-        split[c, c:c + span + 1] = cur[1:span + 2]
-    bounds = [n]
-    for c in range(k, 0, -1):
-        bounds.append(split[c, bounds[-1]])
-    bounds = np.array(bounds[::-1])
-    starts, ends = bounds[:-1], bounds[1:]
-    means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
-    # Rounding may move a mean off its run; clipping keeps the centers
-    # strictly increasing and inside the column's range.
-    return np.clip(means, x[starts], x[ends - 1])
+            seg = np.repeat(np.arange(len(at)), count)  # each candidate's range
+            cand = np.arange(len(seg)) + (lo - first)[seg]
+            s = ps[j][seg] - ps[cand]
+            total = g[cand] - s * s / (pw[j][seg] - pw[cand])
+            if len(seg) > 12 * len(at):  # reduceat costs per range, minimum.at per candidate
+                least = np.minimum.reduceat(total, first)
+            else:
+                least = np.full(len(at), np.inf)
+                np.minimum.at(least, seg, total)
+            # The leftmost candidate at each range's minimum (one per range unless tied).
+            at_min = np.flatnonzero(total == least[seg])
+            if len(at_min) > len(at):
+                at_min = at_min[np.searchsorted(at_min, first)]
+            cur[at] = cand[at_min]
+            best[j] = least + ps2[j]
+    centers = []
+    for t, (x, w, k) in enumerate(columns):
+        bounds = [ns[t]]
+        for c in range(k, 0, -1):
+            bounds.insert(0, split[c, slot[t] + bounds[0] - c + 1] - base[t])
+        starts, ends = np.array(bounds[:-1]), np.array(bounds[1:])
+        means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
+        # Rounding may move a mean off its run; clipping keeps the centers
+        # strictly increasing and inside the column's range.
+        centers.append(np.clip(means, x[starts], x[ends - 1]))
+    return centers
+
+
+def _distinct(values, max_bins: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """A column's distinct observed values, their counts and its k."""
+    xs = np.asarray([v for v in values if v is not MISSING], dtype=np.float64)
+    if xs.size == 0:
+        raise CodecError("cannot fit a codec on an empty column")
+    if not np.isfinite(xs).all():
+        raise CodecError(f"cannot fit a codec on non-finite value {xs[~np.isfinite(xs)][0]}")
+    if max_bins < 1:
+        raise CodecError("max_bins must be >= 1")
+    distinct, counts = np.unique(xs, return_counts=True)
+    return distinct, counts.astype(np.float64), min(int(max_bins), len(distinct))
+
+
+def _continuous(centers: np.ndarray) -> ContinuousCodec:
+    return ContinuousCodec(centers=centers, ratios=_ratios(centers))
 
 
 def fit_continuous(values, max_bins: int) -> ContinuousCodec:
     """Quantize a continuous column to at most ``max_bins`` centers: the
     means of the k-means clustering of its observed values with the least
     within-cluster sum of squares."""
-    xs = np.asarray([v for v in values if v is not MISSING], dtype=np.float64)
-    if xs.size == 0:
-        raise CodecError("cannot fit a codec on an empty column")
-    if max_bins < 1:
-        raise CodecError("max_bins must be >= 1")
-    distinct, counts = np.unique(xs, return_counts=True)
-    centers = _kmeans_1d(distinct, counts.astype(np.float64), min(int(max_bins), len(distinct)))
-    return ContinuousCodec(centers=centers, ratios=_ratios(centers))
+    return _continuous(_kmeans_1d([_distinct(values, max_bins)])[0])
 
 
 def fit_categorical(values) -> CategoricalCodec:
@@ -201,15 +225,22 @@ FieldCodec = CategoricalCodec | ContinuousCodec
 
 
 def fit_codecs(table: RawTable, seed: int = 0) -> list[FieldCodec]:
-    """One codec per field. ``seed`` is ignored: fitting draws no random numbers."""
-    codecs: list[FieldCodec] = []
+    """One codec per field, the continuous ones from one batched fit; ``seed`` is unused."""
+    codecs, columns = [], []
     for j, fs in enumerate(table.schema.fields):
-        col = table.column(j)
-        if fs.kind == CONTINUOUS:
-            codecs.append(fit_continuous(col, fs.max_bins))
-        else:
-            codecs.append(fit_categorical(col))
-    return codecs
+        try:
+            if fs.kind == CONTINUOUS:
+                columns.append(_distinct(table.column(j), fs.max_bins))
+                codecs.append(None)
+                continue
+            codecs.append(codec := fit_categorical(table.column(j)))
+            if fs.declared_cardinality is not None and codec.cardinality > fs.declared_cardinality:
+                raise CodecError(f"{codec.cardinality} distinct values observed, "
+                                 f"{fs.declared_cardinality} declared")
+        except CodecError as e:
+            raise CodecError(f"field {fs.name!r}: {e}") from None
+    centers = iter(_kmeans_1d(columns) if columns else [])
+    return [_continuous(next(centers)) if c is None else c for c in codecs]
 
 
 def encode_table(table: RawTable, codecs: list[FieldCodec]) -> TokenTable:
@@ -249,5 +280,4 @@ def codec_to_json(codec: FieldCodec) -> dict:
 def codec_from_json(obj: dict) -> FieldCodec:
     if obj["kind"] == "categorical":
         return CategoricalCodec(values=tuple(obj["values"]))
-    centers = np.asarray(obj["centers"], dtype=np.float64)
-    return ContinuousCodec(centers=centers, ratios=_ratios(centers))
+    return _continuous(np.asarray(obj["centers"], dtype=np.float64))

@@ -158,6 +158,81 @@ def lloyd_1d(values: np.ndarray, k: int, max_iter: int = 200, tol: float = 1e-10
     return centers
 
 
+def kmeans_1d_per_column(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
+    """Centers of an optimal k-means clustering of sorted distinct values.
+
+    ``codec._kmeans_1d`` as it was before it solved many columns in one
+    call, one column per call; kept as the oracle the batched one must
+    match bit for bit.
+
+    ``x`` holds n >= k distinct values in increasing order and ``w`` their
+    weights. Clusters are contiguous runs of ``x``, so the least
+    within-cluster sum of squares D[c, j] of the first j values in c
+    clusters is min over i of D[c-1, i] + cost(i, j), solved one cluster
+    count c at a time. The leftmost optimal split i is monotone in j and
+    never below the split of layer c-1, so each layer is a
+    divide-and-conquer over j: one numpy pass per recursion depth, whose
+    candidate splits sum to O(n).
+    """
+    n = len(x)
+    # Centred values keep the prefix sums of squares from cancelling.
+    xc = x - np.dot(w, x) / w.sum()
+    pw = np.concatenate([[0.0], np.cumsum(w)])
+    ps = np.concatenate([[0.0], np.cumsum(w * xc)])
+    ps2 = np.concatenate([[0.0], np.cumsum(w * xc * xc)])
+    # cost(i, j) = ps2[j] - ps2[i] - (ps[j] - ps[i])**2 / (pw[j] - pw[i]) is
+    # the weighted sum of squares of x[i:j] about its mean.
+
+    # Layer c solves j = c - 1 + o for offsets o in 1..span+1, since each
+    # later cluster needs a value. cur[o] holds the split found for offset
+    # o; cur[0] and the offsets past span+1 bound the search. Depth by
+    # depth, the odd multiples o of h are solved between o - h and o + h.
+    span = n - k
+    top = 1 << (span + 1).bit_length()
+    levels, h = [], top // 2
+    while h:
+        o = np.arange(h, span + 2, 2 * h)
+        levels.append((o, o - h, o + h))
+        h //= 2
+    cur = np.full(2 * top, n)
+    low = np.empty(span + 2)
+    pos = np.arange(2 * n + 2)
+    best = np.full(n + 1, np.inf)
+    best[0] = 0.0
+    split = np.zeros((k + 1, n + 1), dtype=np.int64)
+    for c in range(1, k + 1):
+        # Minimising best[i] + cost(i, j) over i; ps2[j] is added back after.
+        g = best - ps2
+        cur[0] = c - 1
+        for o, left, right in levels:
+            j = o + (c - 1)
+            hi = np.minimum(cur[right], j - 1)
+            lo = np.minimum(np.maximum(cur[left], split[c - 1, j]), hi)
+            count = hi - lo + 1
+            first = np.cumsum(count) - count
+            m = first[-1] + count[-1]
+            cand = pos[:m] + np.repeat(lo - first, count)
+            jj = np.repeat(j, count)
+            s = ps[jj] - ps[cand]
+            total = g[cand] - s * s / (pw[jj] - pw[cand])
+            low[o] = least = np.minimum.reduceat(total, first)
+            # The leftmost candidate at each range's minimum.
+            at = np.flatnonzero(total == np.repeat(least, count))
+            cur[o] = cand[at[np.searchsorted(at, first)]]
+        best = np.full(n + 1, np.inf)
+        best[c:c + span + 1] = low[1:] + ps2[c:c + span + 1]
+        split[c, c:c + span + 1] = cur[1:span + 2]
+    bounds = [n]
+    for c in range(k, 0, -1):
+        bounds.append(split[c, bounds[-1]])
+    bounds = np.array(bounds[::-1])
+    starts, ends = bounds[:-1], bounds[1:]
+    means = np.add.reduceat(w * x, starts) / np.add.reduceat(w, starts)
+    # Rounding may move a mean off its run; clipping keeps the centers
+    # strictly increasing and inside the column's range.
+    return np.clip(means, x[starts], x[ends - 1])
+
+
 def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
                               ) -> dict[int, np.ndarray]:
     """Empirical distribution of the masked subset at each generation step,

@@ -5,6 +5,7 @@ line (bypassing capture) so the run log doubles as the release report.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +417,6 @@ def test_criterion_12_reproducibility(tmp_path):
         rc |= cli_main(["generate", "--checkpoint", ckpt, "--count", "200",
                         "--out", gen, "--seed", "0"])
         assert rc == 0
-        artifacts[run] = tuple(open(p, "rb").read() for p in (ckpt, loss, gen))
+        artifacts[run] = tuple(Path(p).read_bytes() for p in (ckpt, loss, gen))
     ok = artifacts["a"] == artifacts["b"]
     _report(12, "same seed gives byte-identical artifacts", ok)

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,24 @@ class TestCmdTrain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in err and "message" in err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_training_value(self, tmp_path, capsys, bad):
+        schema = TableSchema(fields=(
+            FieldSchema(name="size", kind=CONTINUOUS, max_bins=4),
+            FieldSchema(name="B", kind=CATEGORICAL),
+        ), target_index=1)
+        save_schema(schema, str(tmp_path / "schema.json"))
+        rows = [f"{i % 9}.5,{'pq'[i % 2]}" for i in range(40)]
+        rows[17] = f"{bad},q"
+        (tmp_path / "train.csv").write_text("\n".join(["size,B"] + rows) + "\n")
+        rc = main(train_args(str(tmp_path / "schema.json"), str(tmp_path / "train.csv"),
+                             str(tmp_path / "x.ckpt"), steps=5))
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CodecError"
+        assert "'size'" in err["message"] and "non-finite" in err["message"]
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestCmdGenerate:
     def test_row_count_and_header(self, trained_cli):
@@ -209,7 +228,7 @@ class TestCmdGenerate:
         rc = main(["generate", "--checkpoint", trained_cli["ckpt"],
                    "--count", "50", "--out", out, "--seed", "1"])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "A,B"
         assert len(lines) == 51
 
@@ -219,7 +238,7 @@ class TestCmdGenerate:
                    "--count", "30", "--out", out, "--condition", "A=b",
                    "--seed", "2"])
         assert rc == 0
-        rows = open(out).read().splitlines()[1:]
+        rows = Path(out).read_text().splitlines()[1:]
         assert all(r.split(",")[0] == "b" for r in rows)
 
     def test_unknown_condition_column(self, trained_cli, capsys):
@@ -242,7 +261,7 @@ class TestCmdGenerate:
         for out in (a, b):
             assert main(["generate", "--checkpoint", trained_cli["ckpt"],
                          "--count", "100", "--out", out, "--seed", "7"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestCmdEvaluate:
@@ -256,12 +275,12 @@ class TestCmdEvaluate:
                    "--report", report_path,
                    "--hist-csv", str(tmp / "hist.csv")])
         assert rc == 0
-        report = json.load(open(report_path))
+        report = json.loads(Path(report_path).read_text())
         assert report["dcr_median"] == 0.0
         assert 0.0 <= report["precision"] <= 1.0
         assert 0.0 <= report["recall"] <= 1.0
         assert report["mle_proxy"] is not None
-        hist = open(tmp / "hist.csv").read().splitlines()
+        hist = (tmp / "hist.csv").read_text().splitlines()
         assert len(hist) > 1
 
 
@@ -277,7 +296,7 @@ class TestCmdImpute:
         rc = main(["impute", "--checkpoint", trained_cli["ckpt"],
                    "--data", str(data), "--out", out, "--seed", "0"])
         assert rc == 0
-        rows = [r.split(",") for r in open(out).read().splitlines()[1:]]
+        rows = [r.split(",") for r in Path(out).read_text().splitlines()[1:]]
         assert all(v != "" for row in rows for v in row)
         for (a, b), row in zip(cells, rows):
             assert row[0] == a
@@ -289,7 +308,7 @@ class TestCmdImpute:
         rc = main(["impute", "--checkpoint", trained_cli["ckpt"],
                    "--data", trained_cli["data"], "--out", out])
         assert rc == 0
-        assert open(out).read() == open(trained_cli["data"]).read()
+        assert Path(out).read_text() == Path(trained_cli["data"]).read_text()
 
 
 class TestCmdPareto:
@@ -302,7 +321,7 @@ class TestCmdPareto:
                    "--generations", "1", "--population", "4",
                    "--eval-budget", "100", "--seed", "0"])
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "temp_1,temp_2,dcr,quality"
         assert len(lines) >= 2
         for line in lines[1:]:
@@ -320,7 +339,7 @@ class TestCmdFlowcheck:
         report_path = str(tmp_path / "flow_report.json")
         rc = main(["flowcheck", "--data", str(data), "--report", report_path])
         assert rc == 0
-        report = json.load(open(report_path))
+        report = json.loads(Path(report_path).read_text())
         assert report["tcp_flags"]["rate"] == 0.1
         assert report["private_ips"]["rate"] == 0.0
         assert report["packet_ratios"]["rate"] == 0.0
@@ -377,7 +396,7 @@ class TestMissingCells:
                    "--real-test", t["test"], "--synth", synth,
                    "--report", report_path])
         assert rc == 0
-        report = json.load(open(report_path))
+        report = json.loads(Path(report_path).read_text())
         assert 0.0 <= report["precision"] <= 1.0
         assert report["mle_proxy"] is not None
 
