@@ -173,9 +173,9 @@ def _cmd_evaluate(args) -> int:
     space = MetricSpace.fit(real_train, model.codecs)
     train_vec = space.transform(real_train)
     synth_vec = space.transform(synth)
-    counts, edges = correlation_error_histogram(train_vec, synth_vec)
     real_tok = encode_table(real_train, model.codecs)
     synth_tok = encode_table(synth, model.codecs)
+    counts, edges = correlation_error_histogram(train_vec, synth_vec)
     real_emb = model.embed_rows(real_tok.tokens, real_tok.missing)
     synth_emb = model.embed_rows(synth_tok.tokens, synth_tok.missing)
     precision, recall = precision_recall(real_emb, synth_emb, k=args.knn)

@@ -253,7 +253,10 @@ def encode_table(table: RawTable, codecs: list[FieldCodec]) -> TokenTable:
         col = table.column(j)
         missing[:, j] = [v is MISSING for v in col]
         tokens[:, j] = codec.cardinality
-        tokens[~missing[:, j], j] = codec.encode_column([v for v in col if v is not MISSING])
+        try:
+            tokens[~missing[:, j], j] = codec.encode_column([v for v in col if v is not MISSING])
+        except CodecError as e:
+            raise CodecError(f"field {table.schema.fields[j].name!r}: {e}") from None
     return TokenTable(schema=table.schema, tokens=tokens, missing=missing, source=table)
 
 

@@ -7,6 +7,8 @@ screen computes all squared distances as |a|^2 + |b|^2 - 2a.b, one BLAS
 product per block of rows, with a per-row bound on its rounding error; the
 pairs it cannot decide are recomputed by explicit differences. So every
 distance in a result equals a row-by-row brute-force one bit for bit.
+The correlation-error histogram correlates only the columns that vary in
+both tables; every pair with a column constant in either counts as 0.
 """
 
 from __future__ import annotations
@@ -154,30 +156,26 @@ def dcr(synth: np.ndarray, train: np.ndarray) -> float:
 def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
                                 bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
     """Histogram over [0, 2] of |corr_real(i,j) - corr_synth(i,j)| for every
-    unordered column pair. Pairs involving a constant column count as 0."""
+    unordered column pair. A pair with a column constant in either table
+    counts as 0, so only the columns that vary in both are correlated."""
     real, synth = np.asarray(real, dtype=np.float64), np.asarray(synth, dtype=np.float64)
     if real.shape[1] != synth.shape[1]:
         raise MetricError("column count mismatch")
     if len(real) < 2 or len(synth) < 2:
         raise MetricError("need at least two rows to correlate")
-
-    def corr(x):
-        sd = x.std(axis=0)
-        const = sd == 0
-        xs = (x - x.mean(axis=0)) / np.where(const, 1.0, sd)
-        c = (xs.T @ xs) / len(x)
-        c[const, :] = 0.0
-        c[:, const] = 0.0
-        return c, const
-
-    cr, const_r = corr(real)
-    cs, const_s = corr(synth)
-    err = np.abs(cr - cs)
-    either_const = const_r | const_s
-    err[either_const, :] = 0.0
-    err[:, either_const] = 0.0
-    iu = np.triu_indices(real.shape[1], k=1)
-    counts, edges = np.histogram(err[iu], bins=bins, range=(0.0, 2.0))
+    if not (np.isfinite(real).all() and np.isfinite(synth).all()):
+        raise MetricError("correlation_error_histogram requires finite inputs")
+    # Column stats over the whole matrices, as numpy may sum a column subset
+    # in another order.
+    mr, sr = real.mean(axis=0), real.std(axis=0)
+    ms, ss = synth.mean(axis=0), synth.std(axis=0)
+    keep = (sr != 0) & (ss != 0)
+    zr = (real[:, keep] - mr[keep]) / sr[keep]
+    zs = (synth[:, keep] - ms[keep]) / ss[keep]
+    err = np.abs((zr.T @ zr) / len(real) - (zs.T @ zs) / len(synth))
+    d, dv = real.shape[1], zr.shape[1]
+    counts, edges = np.histogram(err[np.triu_indices(dv, k=1)], bins=bins, range=(0.0, 2.0))
+    counts[0] += d * (d - 1) // 2 - dv * (dv - 1) // 2
     return counts, edges
 
 

@@ -118,8 +118,17 @@ def pareto_search(evaluator: CandidateEvaluator, generations: int = 10,
     def clip(t):
         return np.clip(t, TEMP_LO, TEMP_HI)
 
+    # The evaluator's seed is fixed, so a repeated vector scores the same.
+    scored: dict[tuple[float, ...], tuple[float, float]] = {}
+
+    def score(t):
+        key = tuple(t.tolist())
+        if key not in scored:
+            scored[key] = evaluator.evaluate(t)
+        return scored[key]
+
     pop = [clip(rng.uniform(TEMP_LO, TEMP_HI, l)) for _ in range(population)]
-    objs = [evaluator.evaluate(t) for t in pop]
+    objs = [score(t) for t in pop]
 
     for _ in range(generations):
         fronts = _non_dominated_sort(objs)
@@ -145,7 +154,7 @@ def pareto_search(evaluator: CandidateEvaluator, generations: int = 10,
             mutate = rng.random(l) < mut_rate
             child = child + mutate * rng.normal(0, mutation_sigma, l)
             children.append(clip(child))
-        child_objs = [evaluator.evaluate(t) for t in children]
+        child_objs = [score(t) for t in children]
 
         # Environmental selection over parents + children.
         all_pop = pop + children

@@ -12,6 +12,7 @@ from tabmt import autodiff as ad
 from tabmt.autodiff import Parameter
 from tabmt.codec import fit_categorical
 from tabmt.generation import _field_order, sample_field
+from tabmt.metrics import MetricError
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.optim import AdamW
 from tabmt.schema import TokenTable
@@ -313,6 +314,37 @@ def brute_precision_recall(real: np.ndarray, synth: np.ndarray, k: int = 3
     real_r = radii(real)
     synth_r = radii(synth)
     return covered(synth, real, real_r), covered(real, synth, synth_r)
+
+
+def correlation_error_histogram_dense(real: np.ndarray, synth: np.ndarray,
+                                      bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``metrics.correlation_error_histogram``: the same histogram
+    from dense d x d correlation matrices, every pair with a column constant
+    in either table zeroed in place."""
+    real, synth = np.asarray(real, dtype=np.float64), np.asarray(synth, dtype=np.float64)
+    if real.shape[1] != synth.shape[1]:
+        raise MetricError("column count mismatch")
+    if len(real) < 2 or len(synth) < 2:
+        raise MetricError("need at least two rows to correlate")
+
+    def corr(x):
+        sd = x.std(axis=0)
+        const = sd == 0
+        xs = (x - x.mean(axis=0)) / np.where(const, 1.0, sd)
+        c = (xs.T @ xs) / len(x)
+        c[const, :] = 0.0
+        c[:, const] = 0.0
+        return c, const
+
+    cr, const_r = corr(real)
+    cs, const_s = corr(synth)
+    err = np.abs(cr - cs)
+    either_const = const_r | const_s
+    err[either_const, :] = 0.0
+    err[:, either_const] = 0.0
+    iu = np.triu_indices(real.shape[1], k=1)
+    counts, edges = np.histogram(err[iu], bins=bins, range=(0.0, 2.0))
+    return counts, edges
 
 
 def generate_oracle(model: TabMTModel, temps: list[float], condition: dict,

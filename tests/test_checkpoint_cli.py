@@ -413,3 +413,28 @@ class TestMissingCells:
         assert rows[0][0] == "0.123456789" and rows[0][1] in ("neg", "pos")
         assert float(rows[1][0]) in model.codecs[0].centers and rows[1][1] == "pos"
         assert rows[2] == ["-1.5e-07", "neg"]
+
+    def test_evaluate_non_finite_cell_names_field(self, trained_mixed_cli, tmp_path, capsys):
+        t = trained_mixed_cli
+        synth = tmp_path / "synth.csv"
+        synth.write_text("x,y\n0.5,pos\n-0.5,neg\ninf,pos\n0.1,neg\n0.2,pos\n")
+        rc = main(["evaluate", "--checkpoint", t["ckpt"], "--real-train", t["data"],
+                   "--real-test", t["test"], "--synth", str(synth),
+                   "--report", str(tmp_path / "report.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CodecError"
+        assert err["message"].startswith("field 'x': ")
+
+    @pytest.mark.parametrize("row, field", [("nan,pos", "x"), ("0.5,zz", "y")])
+    def test_impute_bad_cell_names_field(self, trained_mixed_cli, tmp_path, capsys,
+                                         row, field):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x,y\n0.5,pos\n{row}\n")
+        out = tmp_path / "filled.csv"
+        assert main(["impute", "--checkpoint", trained_mixed_cli["ckpt"],
+                     "--data", str(data), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "CodecError"
+        assert err["message"].startswith(f"field '{field}': ")
+        assert not out.exists()

@@ -255,7 +255,8 @@ class TestTableRoundTrip:
         ))
         table = RawTable(schema=schema, cells=[["a", 1.0], bad])
         codecs = [fit_categorical(["a", "b"]), fit_continuous([0.0, 1.0, 2.0], 4)]
-        with pytest.raises(CodecError):
+        field = "'c'" if bad[0] == "unseen" else "'x'"
+        with pytest.raises(CodecError, match=f"^field {field}: "):
             encode_table(table, codecs)
 
     def test_encode_surjective_on_training_values(self):

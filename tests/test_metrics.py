@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     brute_dcr,
     brute_precision_recall,
+    correlation_error_histogram_dense,
     explicit_min_dists,
     train_logistic_taped,
 )
@@ -111,6 +112,95 @@ class TestCorrelationErrors:
         synth = rng.normal(size=(60, 7))
         counts, _ = correlation_error_histogram(real, synth)
         assert counts.sum() == 7 * 6 // 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_rejected(self, bad, side):
+        rng = np.random.default_rng(6)
+        tables = [rng.normal(size=(50, 4)), rng.normal(size=(50, 4))]
+        tables[side][17, 2] = bad
+        with pytest.raises(MetricError, match="finite"):
+            correlation_error_histogram(*tables)
+
+
+def one_hot_cloud(rng, n: int, widths, n_cont: int) -> np.ndarray:
+    """``n_cont`` uniform columns, then one Zipf-distributed one-hot block
+    per entry of ``widths``."""
+    blocks = [rng.random((n, n_cont))]
+    for k in widths:
+        p = 1.0 / np.arange(1, k + 1)
+        block = np.zeros((n, k))
+        block[np.arange(n), rng.choice(k, n, p=p / p.sum())] = 1.0
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1)
+
+
+def assert_matches_dense(real, synth, bins=20):
+    counts, edges = correlation_error_histogram(real, synth, bins=bins)
+    want_counts, want_edges = correlation_error_histogram_dense(real, synth, bins=bins)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(edges, want_edges)
+    d = real.shape[1]
+    assert counts.sum() == d * (d - 1) // 2
+
+
+class TestCorrelationMatchesDense:
+    """Correlating only the columns that vary in both tables gives the
+    dense histogram's counts and edges exactly."""
+
+    @pytest.mark.parametrize("const_real, const_synth", [
+        ([1], []), ([], [2, 4]), ([0, 3], [3]), ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+        ([0, 1, 2, 4], []), ([], [0, 1, 2, 3])])
+    def test_constant_columns(self, const_real, const_synth):
+        rng = np.random.default_rng(11)
+        real, synth = rng.normal(size=(40, 5)), rng.normal(size=(30, 5))
+        real[:, const_real] = 2.5
+        synth[:, const_synth] = -1.0
+        assert_matches_dense(real, synth)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_or_two_columns(self, d):
+        rng = np.random.default_rng(d)
+        assert_matches_dense(rng.normal(size=(20, d)), rng.normal(size=(15, d)))
+
+    def test_two_rows(self):
+        rng = np.random.default_rng(12)
+        assert_matches_dense(one_hot_cloud(rng, 2, [5, 2], 3),
+                             one_hot_cloud(rng, 2, [5, 2], 3))
+
+    @pytest.mark.parametrize("bins", [1, 7, 100])
+    def test_one_thousand_way_block(self, bins):
+        rng = np.random.default_rng(13)
+        widths = [1000, 2, 2, 3]
+        assert_matches_dense(one_hot_cloud(rng, 200, widths, 6),
+                             one_hot_cloud(rng, 16, widths, 6), bins=bins)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 20),
+           st.lists(st.integers(1, 12), max_size=4), st.integers(0, 4),
+           st.integers(1, 30))
+    def test_random_mixed_clouds(self, seed, n_real, n_synth, widths, n_cont, bins):
+        rng = np.random.default_rng(seed)
+        real = one_hot_cloud(rng, n_real, widths, n_cont)
+        synth = one_hot_cloud(rng, n_synth, widths, n_cont)
+        real[:, rng.random(real.shape[1]) < 0.1] = 0.5
+        synth[:, rng.random(synth.shape[1]) < 0.1] = 0.25
+        assert_matches_dense(real, synth, bins=bins)
+
+    def test_peak_memory_bounded_by_varying_columns(self):
+        rng = np.random.default_rng(14)
+        widths = [3000, 2, 2, 2]
+        real, synth = one_hot_cloud(rng, 200, widths, 0), one_hot_cloud(rng, 16, widths, 0)
+        assert real.shape[1] == 3006
+        tracemalloc.start()
+        try:
+            counts, _ = correlation_error_histogram(real, synth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 3006 * 3005 // 2
+        # The dense d x d form peaks at about 312 MiB here.
+        assert peak < 32 * 2**20
 
 
 class TestDiversity:

@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,6 +123,23 @@ class TestParetoSearch:
         for c in front:
             assert all(TEMP_LO <= t <= TEMP_HI for t in c.temps)
             assert (c.dcr, c.quality) == TradeOff().evaluate(c.temps)
+
+    def test_each_distinct_vector_scored_once(self):
+        class Counting:
+            model = SimpleNamespace(n_fields=2)
+
+            def __init__(self):
+                self.calls = Counter()
+
+            def evaluate(self, temps):
+                self.calls[tuple(float(t) for t in temps)] += 1
+                return float(temps[0]), -float(temps[0]) - abs(float(temps[1]) - 1.0)
+
+        stub = Counting()
+        pareto_search(stub, generations=3, population=8, seed=0)
+        assert max(stub.calls.values()) == 1
+        # The search offered 8 * (3 + 1) vectors, some of them repeats.
+        assert len(stub.calls) < 8 * (3 + 1)
 
     def test_deterministic_search(self, evaluator):
         a = pareto_search(evaluator, generations=1, population=6, seed=5)
