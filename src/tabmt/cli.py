@@ -7,10 +7,12 @@ import json
 import sys
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .codec import decode_table, encode_table, fit_codecs
+from .codec import CategoricalCodec, decode_table, encode_table, fit_codecs
 from .flowcheck import FlowRecord, check_invariants, decompose_timestamp
 from .generation import GenerationSpec, generate, impute
 from .metrics import (
+    CLASSIFY,
+    REGRESS,
     MetricSpace,
     MetricsReport,
     correlation_error_histogram,
@@ -22,7 +24,7 @@ from .metrics import (
 )
 from .model import ModelConfig, TabMTModel
 from .pareto import CandidateEvaluator, pareto_search, write_front_csv
-from .schema import load_csv, load_schema, write_csv
+from .schema import MISSING, RawTable, load_csv, load_schema, parse_cell, write_csv
 from .training import TrainConfig, train, write_loss_history
 
 
@@ -110,7 +112,8 @@ def _parse_temps(arg: str | None, l: int) -> tuple[float, ...] | None:
 
 
 def _parse_condition(pairs: list[str], schema, codecs) -> dict[int, int]:
-    condition = {}
+    """Field index -> token, each value parsed as a CSV cell and encoded as one."""
+    row = [MISSING] * schema.n_fields
     names = schema.names
     for pair in pairs:
         if "=" not in pair:
@@ -119,12 +122,19 @@ def _parse_condition(pairs: list[str], schema, codecs) -> dict[int, int]:
         if name not in names:
             raise CliError(f"condition references unknown column {name!r}")
         j = names.index(name)
-        codec = codecs[j]
-        if hasattr(codec, "values"):
-            condition[j] = codec.encode(value)
-        else:
-            condition[j] = codec.encode(float(value))
-    return condition
+        row[j] = parse_cell(value, schema.fields[j], "")
+        if row[j] is MISSING:
+            raise CliError(f"condition {pair!r} gives no value")
+    encoded = encode_table(RawTable(schema=schema, cells=[row]), codecs)
+    return {j: int(encoded.tokens[0, j]) for j, v in enumerate(row) if v is not MISSING}
+
+
+def _load_model(path: str):
+    """A checkpoint's model and schema; the commands that read or write CSV need both."""
+    model, schema, _ = load_checkpoint(path)
+    if schema is None:
+        raise CliError("checkpoint carries no schema")
+    return model, schema
 
 
 def _cmd_train(args) -> int:
@@ -148,9 +158,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model, schema, _ = load_checkpoint(args.checkpoint)
-    if schema is None:
-        raise CliError("checkpoint carries no schema; cannot write CSV")
+    model, schema = _load_model(args.checkpoint)
     temps = _parse_temps(args.temps, model.n_fields)
     condition = _parse_condition(args.condition, schema, model.codecs)
     spec = GenerationSpec(count=args.count, temps=temps, condition=condition,
@@ -164,9 +172,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    model, schema, _ = load_checkpoint(args.checkpoint)
-    if schema is None:
-        raise CliError("checkpoint carries no schema")
+    model, schema = _load_model(args.checkpoint)
     real_train = load_csv(args.real_train, schema, args.missing_marker)
     real_test = load_csv(args.real_test, schema, args.missing_marker)
     synth = load_csv(args.synth, schema, args.missing_marker)
@@ -182,7 +188,7 @@ def _cmd_evaluate(args) -> int:
     proxy = None
     if schema.target_index is not None:
         codec = model.codecs[schema.target_index]
-        task = "classify" if hasattr(codec, "values") else "regress"
+        task = CLASSIFY if isinstance(codec, CategoricalCodec) else REGRESS
         proxy = mle_proxy(synth, real_test, space, schema.target_index, task,
                           seed=args.seed)
     report = MetricsReport(
@@ -203,9 +209,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    model, schema, _ = load_checkpoint(args.checkpoint)
-    if schema is None:
-        raise CliError("checkpoint carries no schema")
+    model, schema = _load_model(args.checkpoint)
     table = load_csv(args.data, schema, args.missing_marker)
     tokens = encode_table(table, model.codecs)
     temps = _parse_temps(args.temps, model.n_fields)
@@ -217,9 +221,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    model, schema, _ = load_checkpoint(args.checkpoint)
-    if schema is None:
-        raise CliError("checkpoint carries no schema")
+    model, schema = _load_model(args.checkpoint)
     if schema.target_index is None:
         raise CliError("schema declares no target column for the quality objective")
     real_train = load_csv(args.real_train, schema, args.missing_marker)

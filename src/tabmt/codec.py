@@ -11,6 +11,7 @@ tie going to the lower one.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,6 +30,23 @@ def _checked_tokens(tokens, cardinality: int) -> np.ndarray:
     if bad.any():
         raise CodecError(f"token {tokens[bad][0]} out of range 0..{cardinality - 1}")
     return tokens
+
+
+def _finite(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    finite = np.isfinite(xs)
+    if not finite.all():
+        raise CodecError(f"non-finite value {float(xs[~finite][0])!r}")
+    return xs
+
+
+@contextmanager
+def _field(name: str):
+    """Prefix a CodecError raised inside the block with the field's name."""
+    try:
+        yield
+    except CodecError as e:
+        raise CodecError(f"field {name!r}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -81,10 +99,7 @@ class ContinuousCodec:
 
     def encode_column(self, xs) -> np.ndarray:
         """Index of the nearest center per value; a tie goes to the lower index."""
-        xs = np.asarray(xs, dtype=np.float64)
-        finite = np.isfinite(xs)
-        if not finite.all():
-            raise CodecError(f"cannot encode non-finite value {float(xs[~finite][0])!r}")
+        xs = _finite(xs)
         out = np.empty(len(xs), dtype=np.int64)
         step = max(1, 262_144 // len(self.centers))  # 2 MiB distance blocks
         for s in range(0, len(xs), step):
@@ -191,11 +206,9 @@ def _kmeans_1d(columns) -> list[np.ndarray]:
 
 def _distinct(values, max_bins: int) -> tuple[np.ndarray, np.ndarray, int]:
     """A column's distinct observed values, their counts and its k."""
-    xs = np.asarray([v for v in values if v is not MISSING], dtype=np.float64)
+    xs = _finite([v for v in values if v is not MISSING])
     if xs.size == 0:
         raise CodecError("cannot fit a codec on an empty column")
-    if not np.isfinite(xs).all():
-        raise CodecError(f"cannot fit a codec on non-finite value {xs[~np.isfinite(xs)][0]}")
     if max_bins < 1:
         raise CodecError("max_bins must be >= 1")
     distinct, counts = np.unique(xs, return_counts=True)
@@ -228,7 +241,7 @@ def fit_codecs(table: RawTable, seed: int = 0) -> list[FieldCodec]:
     """One codec per field, the continuous ones from one batched fit; ``seed`` is unused."""
     codecs, columns = [], []
     for j, fs in enumerate(table.schema.fields):
-        try:
+        with _field(fs.name):
             if fs.kind == CONTINUOUS:
                 columns.append(_distinct(table.column(j), fs.max_bins))
                 codecs.append(None)
@@ -237,10 +250,21 @@ def fit_codecs(table: RawTable, seed: int = 0) -> list[FieldCodec]:
             if fs.declared_cardinality is not None and codec.cardinality > fs.declared_cardinality:
                 raise CodecError(f"{codec.cardinality} distinct values observed, "
                                  f"{fs.declared_cardinality} declared")
-        except CodecError as e:
-            raise CodecError(f"field {fs.name!r}: {e}") from None
     centers = iter(_kmeans_1d(columns) if columns else [])
     return [_continuous(next(centers)) if c is None else c for c in codecs]
+
+
+def observed_cells(table: RawTable, j: int, codec: FieldCodec) -> tuple[np.ndarray, np.ndarray]:
+    """Field j's observed-row mask and those cells checked against ``codec``: a
+    categorical field's tokens, a continuous field's finite values (not quantized).
+    An unseen category or a non-finite value raises a CodecError naming the field."""
+    col = table.column(j)
+    observed = np.array([v is not MISSING for v in col], dtype=bool)
+    cells = [v for v in col if v is not MISSING]
+    with _field(table.schema.fields[j].name):
+        if isinstance(codec, CategoricalCodec):
+            return observed, codec.encode_column(cells)
+        return observed, _finite(cells)
 
 
 def encode_table(table: RawTable, codecs: list[FieldCodec]) -> TokenTable:
@@ -250,13 +274,10 @@ def encode_table(table: RawTable, codecs: list[FieldCodec]) -> TokenTable:
     tokens = np.empty((n, l), dtype=np.int64)
     missing = np.empty((n, l), dtype=bool)
     for j, codec in enumerate(codecs):
-        col = table.column(j)
-        missing[:, j] = [v is MISSING for v in col]
+        seen, cells = observed_cells(table, j, codec)
+        missing[:, j] = ~seen
         tokens[:, j] = codec.cardinality
-        try:
-            tokens[~missing[:, j], j] = codec.encode_column([v for v in col if v is not MISSING])
-        except CodecError as e:
-            raise CodecError(f"field {table.schema.fields[j].name!r}: {e}") from None
+        tokens[seen, j] = cells if isinstance(codec, CategoricalCodec) else codec.encode_column(cells)
     return TokenTable(schema=table.schema, tokens=tokens, missing=missing, source=table)
 
 

@@ -17,6 +17,7 @@ WELL_KNOWN_TCP_PORTS = frozenset({80, 443, 22, 21, 25})
 NETBIOS_PORTS = frozenset({137, 138, 139})
 MIN_FRAME_BYTES = 42
 MAX_FRAME_BYTES = 65535
+DNS_BYTES_PER_PACKET = 512  # payload bound of the dns rule's TCP case
 
 RULES = (
     "tcp_flags",
@@ -113,8 +114,7 @@ def _flags_empty(flags: str) -> bool:
 
 
 def check_invariants(records: list[FlowRecord],
-                     vocab: dict[str, set] | None = None,
-                     dns_bytes_per_packet: int = 512) -> InvariantReport:
+                     vocab: dict[str, set] | None = None) -> InvariantReport:
     """Evaluate each rule per record; denominators count only records the
     rule applies to.
 
@@ -149,7 +149,7 @@ def check_invariants(records: list[FlowRecord],
             report.applicable["dns"] += 1
             ok = rec.protocol == "UDP" or (
                 rec.protocol == "TCP"
-                and rec.bytes <= dns_bytes_per_packet * rec.packets
+                and rec.bytes <= DNS_BYTES_PER_PACKET * rec.packets
             )
             if not ok:
                 report.violations["dns"] += 1

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .model import TabMTModel
 from .schema import TokenTable
 
@@ -96,25 +95,20 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
     rng = np.random.default_rng(spec.seed)
     free = [j for j in range(l) if j not in spec.condition]
     out_tokens = np.zeros((spec.count, l), dtype=np.int64)
-    was_training = model.training
-    model.training = False
-    try:
-        with ad.no_grad():
-            for start in range(0, spec.count, spec.batch_size):
-                n = min(spec.batch_size, spec.count - start)
-                tokens = np.zeros((n, l), dtype=np.int64)
-                mask = np.ones((n, l), dtype=bool)
-                for j, t in spec.condition.items():
-                    tokens[:, j] = t
-                    mask[:, j] = False
-                for step, j in enumerate(_field_order(free, rng)):
-                    rows = n if step else 1
-                    logits = model.forward(tokens[:rows], mask[:rows], fields=(j,))[0].data
-                    tokens[:, j] = sample_field(np.repeat(logits, n // rows, axis=0), temps[j], rng)
-                    mask[:, j] = False
-                out_tokens[start:start + n] = tokens
-    finally:
-        model.training = was_training
+    with model.inference():
+        for start in range(0, spec.count, spec.batch_size):
+            n = min(spec.batch_size, spec.count - start)
+            tokens = np.zeros((n, l), dtype=np.int64)
+            mask = np.ones((n, l), dtype=bool)
+            for j, t in spec.condition.items():
+                tokens[:, j] = t
+                mask[:, j] = False
+            for step, j in enumerate(_field_order(free, rng)):
+                rows = n if step else 1
+                logits = model.forward(tokens[:rows], mask[:rows], fields=(j,))[0].data
+                tokens[:, j] = sample_field(np.repeat(logits, n // rows, axis=0), temps[j], rng)
+                mask[:, j] = False
+            out_tokens[start:start + n] = tokens
     return TokenTable(schema=None, tokens=out_tokens)
 
 
@@ -129,24 +123,19 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     rng = np.random.default_rng(seed)
     tokens = table.tokens.copy()
     n_total, l = tokens.shape
-    was_training = model.training
-    model.training = False
-    try:
-        with ad.no_grad():
-            for start in range(0, n_total, batch_size):
-                end = min(start + batch_size, n_total)
-                batch = tokens[start:end]
-                mask = table.missing[start:end].copy()
-                for j in _field_order(range(l), rng):
-                    rows = mask[:, j]
-                    if not rows.any():
-                        continue
-                    logits = _field_logits(model, batch[rows], mask[rows], j)
-                    batch[rows, j] = sample_field(logits, temps_l[j], rng)
-                    mask[:, j] = False
-                tokens[start:end] = batch
-    finally:
-        model.training = was_training
+    with model.inference():
+        for start in range(0, n_total, batch_size):
+            end = min(start + batch_size, n_total)
+            batch = tokens[start:end]
+            mask = table.missing[start:end].copy()
+            for j in _field_order(range(l), rng):
+                rows = mask[:, j]
+                if not rows.any():
+                    continue
+                logits = _field_logits(model, batch[rows], mask[rows], j)
+                batch[rows, j] = sample_field(logits, temps_l[j], rng)
+                mask[:, j] = False
+            tokens[start:end] = batch
     missing = np.zeros_like(table.missing)
     return TokenTable(schema=table.schema, tokens=tokens, missing=missing,
                       source=table.source)

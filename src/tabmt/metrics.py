@@ -19,9 +19,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .codec import CategoricalCodec, ContinuousCodec, FieldCodec
+from .codec import CategoricalCodec, ContinuousCodec, FieldCodec, observed_cells
 from .optim import AdamW
-from .schema import MISSING, RawTable
+from .schema import RawTable
 
 
 class MetricError(ValueError):
@@ -41,38 +41,27 @@ class MetricSpace:
         mins, maxs = {}, {}
         for j, codec in enumerate(codecs):
             if isinstance(codec, ContinuousCodec):
-                vals = [v for v in train.column(j) if v is not MISSING]
-                if not vals:
+                vals = observed_cells(train, j, codec)[1]
+                if not vals.size:
                     raise MetricError(f"no observed values in continuous column {j}")
-                mins[j] = min(vals)
-                maxs[j] = max(vals)
+                mins[j], maxs[j] = float(vals.min()), float(vals.max())
         return cls(codecs=codecs, mins=mins, maxs=maxs)
 
-    @property
-    def dim(self) -> int:
-        return sum(1 if isinstance(c, ContinuousCodec) else c.cardinality
-                   for c in self.codecs)
-
     def transform(self, table: RawTable, exclude: int | None = None) -> np.ndarray:
-        """Feature matrix; missing cells are scored as 0 in their block."""
+        """Feature matrix; a missing cell scores 0 in its block, a bad one raises a CodecError."""
         n = table.n_rows
         blocks = []
         for j, codec in enumerate(self.codecs):
             if j == exclude:
                 continue
-            col = table.column(j)
+            observed, cells = observed_cells(table, j, codec)
             if isinstance(codec, ContinuousCodec):
                 lo, hi = self.mins[j], self.maxs[j]
-                span = hi - lo if hi > lo else 1.0
-                block = np.array(
-                    [0.0 if v is MISSING else (v - lo) / span for v in col]
-                ).reshape(n, 1)
+                block = np.zeros((n, 1))
+                block[observed, 0] = (cells - lo) / (hi - lo if hi > lo else 1.0)
             else:
                 block = np.zeros((n, codec.cardinality))
-                idx = codec.index
-                for i, v in enumerate(col):
-                    if v is not MISSING and v in idx:
-                        block[i, idx[v]] = 1.0
+                block[observed, cells] = 1.0
             blocks.append(block)
         return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
 
@@ -284,32 +273,25 @@ def mle_proxy(synth_train: RawTable, real_test: RawTable, space: MetricSpace,
     if task not in (CLASSIFY, REGRESS):
         raise MetricError(f"unknown task {task!r}")
     codec = space.codecs[target_index]
+    if task == CLASSIFY and not isinstance(codec, CategoricalCodec):
+        raise MetricError("classification target must be categorical")
+    if task == REGRESS and not isinstance(codec, ContinuousCodec):
+        raise MetricError("regression target must be continuous")
     # Rows with a blank target can be neither fit nor scored.
-    y_tr_raw = synth_train.column(target_index)
-    y_te_raw = real_test.column(target_index)
-    keep_tr = [i for i, v in enumerate(y_tr_raw) if v is not MISSING]
-    keep_te = [i for i, v in enumerate(y_te_raw) if v is not MISSING]
-    if not keep_tr or not keep_te:
+    keep_tr, y_tr = observed_cells(synth_train, target_index, codec)
+    keep_te, y_te = observed_cells(real_test, target_index, codec)
+    if not y_tr.size or not y_te.size:
         raise MetricError("no rows with an observed target")
     x_tr = space.transform(synth_train, exclude=target_index)[keep_tr]
     x_te = space.transform(real_test, exclude=target_index)[keep_te]
-    y_tr_raw = [y_tr_raw[i] for i in keep_tr]
-    y_te_raw = [y_te_raw[i] for i in keep_te]
 
     if task == CLASSIFY:
-        if not isinstance(codec, CategoricalCodec):
-            raise MetricError("classification target must be categorical")
-        idx = codec.index
-        y_tr = np.array([idx[v] for v in y_tr_raw])
-        y_te = np.array([idx[v] for v in y_te_raw])
         if len(np.unique(y_tr)) < 2:
             raise MetricError("training target has a single class")
         w, b = _train_logistic(x_tr, y_tr, codec.cardinality, seed=seed)
         y_pred = np.argmax(x_te @ w + b, axis=1)
         return _macro_f1(y_te, y_pred, np.unique(y_te))
 
-    y_tr = np.asarray(y_tr_raw, dtype=np.float64)
-    y_te = np.asarray(y_te_raw, dtype=np.float64)
     # Closed-form ridge with a small l2 penalty and intercept.
     xa = np.concatenate([x_tr, np.ones((len(x_tr), 1))], axis=1)
     lam = 1e-3

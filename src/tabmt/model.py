@@ -11,6 +11,7 @@ temperature.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,6 +223,16 @@ class TabMTModel:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
+    @contextmanager
+    def inference(self):
+        """Run the block with training off and no tape; the mode is restored on exit."""
+        was_training, self.training = self.training, False
+        try:
+            with ad.no_grad():
+                yield
+        finally:
+            self.training = was_training
+
     def _hidden(self, tokens: np.ndarray, mask: np.ndarray,
                 rng: np.random.Generator | None) -> Tensor:
         """Final encoder hidden states after the pre-head layer norm."""
@@ -271,11 +282,5 @@ class TabMTModel:
         """
         tokens = np.asarray(tokens)
         mask = np.zeros(tokens.shape, dtype=bool) if missing is None else missing
-        was_training = self.training
-        self.training = False
-        try:
-            with ad.no_grad():
-                h = self._hidden(tokens, mask, None)
-            return h.data.mean(axis=1)
-        finally:
-            self.training = was_training
+        with self.inference():
+            return self._hidden(tokens, mask, None).data.mean(axis=1)

@@ -20,6 +20,7 @@ from .schema import RawTable
 
 TEMP_LO = 0.5
 TEMP_HI = 5.0
+MUTATION_SIGMA = 0.25  # standard deviation of a mutated temperature's step
 
 
 @dataclass
@@ -105,8 +106,7 @@ def _crowding(objs: list[tuple[float, float]], front: list[int]) -> dict[int, fl
 
 
 def pareto_search(evaluator: CandidateEvaluator, generations: int = 10,
-                  population: int = 24, seed: int = 0,
-                  mutation_sigma: float = 0.25) -> list[TempCandidate]:
+                  population: int = 24, seed: int = 0) -> list[TempCandidate]:
     """Evolve temperature vectors and return the non-dominated set,
     sorted by descending DCR."""
     if population < 4:
@@ -152,7 +152,7 @@ def pareto_search(evaluator: CandidateEvaluator, generations: int = 10,
             pick = rng.random(l) < 0.5
             child = np.where(pick, p1, p2)
             mutate = rng.random(l) < mut_rate
-            child = child + mutate * rng.normal(0, mutation_sigma, l)
+            child = child + mutate * rng.normal(0, MUTATION_SIGMA, l)
             children.append(clip(child))
         child_objs = [score(t) for t in children]
 

@@ -132,7 +132,7 @@ class RawTable:
         return [row[j] for row in self.cells]
 
 
-def _parse_cell(raw: str, fs: FieldSchema, missing_marker: str):
+def parse_cell(raw: str, fs: FieldSchema, missing_marker: str):
     if raw == missing_marker or raw == "":
         return MISSING
     if fs.kind == CONTINUOUS:
@@ -164,7 +164,7 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
             if len(row) < len(header):
                 raise SchemaError(f"{path}: short row {row!r}")
             cells.append(
-                [_parse_cell(row[src], fs, missing_marker) for src, fs in zip(order, schema.fields)]
+                [parse_cell(row[src], fs, missing_marker) for src, fs in zip(order, schema.fields)]
             )
     return RawTable(schema=schema, cells=cells)
 

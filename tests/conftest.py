@@ -10,12 +10,12 @@ import pytest
 
 from tabmt import autodiff as ad
 from tabmt.autodiff import Parameter
-from tabmt.codec import fit_categorical
+from tabmt.codec import CategoricalCodec, ContinuousCodec, fit_categorical
 from tabmt.generation import _field_order, sample_field
-from tabmt.metrics import MetricError
+from tabmt.metrics import CLASSIFY, REGRESS, MetricError, _macro_f1, _train_logistic
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.optim import AdamW
-from tabmt.schema import TokenTable
+from tabmt.schema import MISSING, TokenTable
 from tabmt.training import TrainConfig, train
 
 N_TOY = 5000
@@ -345,6 +345,75 @@ def correlation_error_histogram_dense(real: np.ndarray, synth: np.ndarray,
     iu = np.triu_indices(real.shape[1], k=1)
     counts, edges = np.histogram(err[iu], bins=bins, range=(0.0, 2.0))
     return counts, edges
+
+
+def metric_features_by_lookup(space, table, exclude=None) -> np.ndarray:
+    """Oracle for ``MetricSpace.transform``: features cell by cell, a
+    category through a dictionary lookup (an unseen one left as zeros)."""
+    n = table.n_rows
+    blocks = []
+    for j, codec in enumerate(space.codecs):
+        if j == exclude:
+            continue
+        col = table.column(j)
+        if isinstance(codec, ContinuousCodec):
+            lo, hi = space.mins[j], space.maxs[j]
+            span = hi - lo if hi > lo else 1.0
+            block = np.array(
+                [0.0 if v is MISSING else (v - lo) / span for v in col]
+            ).reshape(n, 1)
+        else:
+            block = np.zeros((n, codec.cardinality))
+            idx = codec.index
+            for i, v in enumerate(col):
+                if v is not MISSING and v in idx:
+                    block[i, idx[v]] = 1.0
+        blocks.append(block)
+    return np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
+
+
+def mle_proxy_by_lookup(synth_train, real_test, space, target_index: int, task: str,
+                        seed: int = 0) -> float:
+    """Oracle for ``metrics.mle_proxy``: the features of
+    ``metric_features_by_lookup`` and labels mapped cell by cell."""
+    if task not in (CLASSIFY, REGRESS):
+        raise MetricError(f"unknown task {task!r}")
+    codec = space.codecs[target_index]
+    y_tr_raw = synth_train.column(target_index)
+    y_te_raw = real_test.column(target_index)
+    keep_tr = [i for i, v in enumerate(y_tr_raw) if v is not MISSING]
+    keep_te = [i for i, v in enumerate(y_te_raw) if v is not MISSING]
+    if not keep_tr or not keep_te:
+        raise MetricError("no rows with an observed target")
+    x_tr = metric_features_by_lookup(space, synth_train, exclude=target_index)[keep_tr]
+    x_te = metric_features_by_lookup(space, real_test, exclude=target_index)[keep_te]
+    y_tr_raw = [y_tr_raw[i] for i in keep_tr]
+    y_te_raw = [y_te_raw[i] for i in keep_te]
+
+    if task == CLASSIFY:
+        if not isinstance(codec, CategoricalCodec):
+            raise MetricError("classification target must be categorical")
+        idx = codec.index
+        y_tr = np.array([idx[v] for v in y_tr_raw])
+        y_te = np.array([idx[v] for v in y_te_raw])
+        if len(np.unique(y_tr)) < 2:
+            raise MetricError("training target has a single class")
+        w, b = _train_logistic(x_tr, y_tr, codec.cardinality, seed=seed)
+        y_pred = np.argmax(x_te @ w + b, axis=1)
+        return _macro_f1(y_te, y_pred, np.unique(y_te))
+
+    y_tr = np.asarray(y_tr_raw, dtype=np.float64)
+    y_te = np.asarray(y_te_raw, dtype=np.float64)
+    xa = np.concatenate([x_tr, np.ones((len(x_tr), 1))], axis=1)
+    lam = 1e-3
+    reg = lam * np.eye(xa.shape[1])
+    reg[-1, -1] = 0.0
+    beta = np.linalg.solve(xa.T @ xa + reg, xa.T @ y_tr)
+    xb = np.concatenate([x_te, np.ones((len(x_te), 1))], axis=1)
+    pred = xb @ beta
+    ss_res = float(((y_te - pred) ** 2).sum())
+    ss_tot = float(((y_te - y_te.mean()) ** 2).sum())
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
 def generate_oracle(model: TabMTModel, temps: list[float], condition: dict,

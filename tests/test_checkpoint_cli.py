@@ -8,7 +8,7 @@ import pytest
 from conftest import make_toy_tokens, toy_codecs
 from tabmt import checkpoint
 from tabmt.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from tabmt.cli import main
+from tabmt.cli import _parse_condition, main
 from tabmt.codec import decode_table
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.schema import (
@@ -438,3 +438,108 @@ class TestMissingCells:
         assert err["error"] == "CodecError"
         assert err["message"].startswith(f"field '{field}': ")
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def trained_three_cli(tmp_path_factory):
+    """Continuous ``x``, categorical ``c`` and categorical target ``y``,
+    with clean train and test CSVs."""
+    tmp = tmp_path_factory.mktemp("three")
+    schema = TableSchema(fields=(
+        FieldSchema(name="x", kind=CONTINUOUS, max_bins=10),
+        FieldSchema(name="c", kind=CATEGORICAL),
+        FieldSchema(name="y", kind=CATEGORICAL),
+    ), target_index=2)
+    schema_path = str(tmp / "schema.json")
+    save_schema(schema, schema_path)
+    rng = np.random.default_rng(1)
+
+    def write(name, n):
+        xs = rng.normal(size=n)
+        lines = ["x,c,y"] + [f"{float(x)!r},{'ab'[i % 2]},{'pos' if x > 0 else 'neg'}"
+                             for i, x in enumerate(xs)]
+        (tmp / name).write_text("\n".join(lines) + "\n")
+        return lines
+
+    train, test = write("train.csv", 200), write("test.csv", 80)
+    ckpt = str(tmp / "model.ckpt")
+    assert main(train_args(schema_path, str(tmp / "train.csv"), ckpt, steps=30)) == 0
+    synth = str(tmp / "synth.csv")
+    assert main(["generate", "--checkpoint", ckpt, "--count", "40", "--out", synth,
+                 "--seed", "1"]) == 0
+    return {"tmp": tmp, "ckpt": ckpt, "synth": synth, "lines": {"train": train, "test": test}}
+
+
+def single_error(capsys) -> dict:
+    """The one JSON line a failed command writes to stderr."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+BAD_CELLS = [("nan,a,pos", "x"), ("0.5,zz,pos", "c"), ("0.5,a,qq", "y")]
+
+
+class TestBadCellNamesField:
+    """A non-finite value, an unseen category or an unseen target in a real
+    table fails the command with one JSON line that names the column."""
+
+    def bad_csv(self, t, which, row, tmp_path):
+        lines = list(t["lines"][which])
+        lines[3] = row
+        path = tmp_path / f"bad_{which}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tables = {w: str(t["tmp"] / f"{w}.csv") for w in ("train", "test")}
+        tables[which] = str(path)
+        return tables
+
+    @pytest.mark.parametrize("row, field", BAD_CELLS)
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_evaluate(self, trained_three_cli, tmp_path, capsys, which, row, field):
+        t = trained_three_cli
+        tables = self.bad_csv(t, which, row, tmp_path)
+        report = tmp_path / "report.json"
+        rc = main(["evaluate", "--checkpoint", t["ckpt"], "--real-train", tables["train"],
+                   "--real-test", tables["test"], "--synth", t["synth"],
+                   "--report", str(report)])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "CodecError"
+        assert err["message"].startswith(f"field '{field}': ")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("row, field", BAD_CELLS)
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_pareto(self, trained_three_cli, tmp_path, capsys, which, row, field):
+        t = trained_three_cli
+        tables = self.bad_csv(t, which, row, tmp_path)
+        front = tmp_path / "front.csv"
+        rc = main(["pareto", "--checkpoint", t["ckpt"], "--real-train", tables["train"],
+                   "--real-test", tables["test"], "--out", str(front), "--task", "classify",
+                   "--generations", "1", "--population", "4", "--eval-budget", "20"])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "CodecError"
+        assert err["message"].startswith(f"field '{field}': ")
+        assert not front.exists()
+
+    @pytest.mark.parametrize("pair, error, start", [
+        ("x=abc", "SchemaError", "non-numeric value 'abc' in continuous column 'x'"),
+        ("x=nan", "CodecError", "field 'x': "),
+        ("c=zz", "CodecError", "field 'c': "),
+        ("x=", "CliError", "condition 'x=' gives no value"),
+    ])
+    def test_generate_condition(self, trained_three_cli, tmp_path, capsys, pair, error, start):
+        out = tmp_path / "gen.csv"
+        rc = main(["generate", "--checkpoint", trained_three_cli["ckpt"], "--count", "5",
+                   "--out", str(out), "--condition", "c=a", "--condition", pair])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == error and err["message"].startswith(start)
+        assert not out.exists()
+
+    def test_condition_tokens_are_the_codecs(self, trained_three_cli):
+        model, schema, _ = load_checkpoint(trained_three_cli["ckpt"])
+        got = _parse_condition(["c=b", "x=0.3", "y=neg", "x=-1e9"], schema, model.codecs)
+        assert got == {0: model.codecs[0].encode(-1e9), 1: model.codecs[1].encode("b"),
+                       2: model.codecs[2].encode("neg")}

@@ -10,6 +10,7 @@ from tabmt.codec import (
     encode_table,
     fit_categorical,
     fit_continuous,
+    observed_cells,
 )
 from tabmt.schema import (
     CATEGORICAL,
@@ -258,6 +259,20 @@ class TestTableRoundTrip:
         field = "'c'" if bad[0] == "unseen" else "'x'"
         with pytest.raises(CodecError, match=f"^field {field}: "):
             encode_table(table, codecs)
+
+    def test_observed_cells(self):
+        schema = TableSchema(fields=(
+            FieldSchema(name="c", kind=CATEGORICAL),
+            FieldSchema(name="x", kind=CONTINUOUS, max_bins=4),
+        ))
+        table = RawTable(schema=schema, cells=[["b", MISSING], [MISSING, 0.123], ["a", -7.5]])
+        codecs = [fit_categorical(["a", "b"]), fit_continuous([0.0, 1.0, 2.0], 4)]
+        observed, tokens = observed_cells(table, 0, codecs[0])
+        assert observed.tolist() == [True, False, True] and tokens.tolist() == [1, 0]
+        observed, values = observed_cells(table, 1, codecs[1])
+        # Continuous cells come back as parsed, not as bin centers.
+        assert observed.tolist() == [False, True, True] and values.tolist() == [0.123, -7.5]
+        assert values.dtype == np.float64
 
     def test_encode_surjective_on_training_values(self):
         xs = np.random.default_rng(0).normal(0, 1, 500)

@@ -11,10 +11,12 @@ from conftest import (
     brute_precision_recall,
     correlation_error_histogram_dense,
     explicit_min_dists,
+    metric_features_by_lookup,
+    mle_proxy_by_lookup,
     train_logistic_taped,
 )
 from tabmt import metrics
-from tabmt.codec import fit_categorical, fit_continuous
+from tabmt.codec import CodecError, fit_categorical, fit_codecs, fit_continuous
 from tabmt.metrics import (
     MetricError,
     MetricSpace,
@@ -367,6 +369,107 @@ class TestTrainLogistic:
         w, b = metrics._train_logistic(x, y, classes, seed=3)
         w_ref, b_ref = train_logistic_taped(x, y, classes, seed=3)
         assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+
+
+def mixed_tables(seed, n_train=120, n_test=60, blank=0.15):
+    """Train and test tables with blank cells in every field: continuous
+    ``x``, categorical ``c``, constant continuous ``k``, categorical
+    target ``y`` and continuous ``t``; the test rows hold no unseen value."""
+    rng = np.random.default_rng(seed)
+    schema = TableSchema(fields=(
+        FieldSchema(name="x", kind=CONTINUOUS, max_bins=8),
+        FieldSchema(name="c", kind=CATEGORICAL),
+        FieldSchema(name="k", kind=CONTINUOUS, max_bins=4),
+        FieldSchema(name="y", kind=CATEGORICAL),
+        FieldSchema(name="t", kind=CONTINUOUS, max_bins=8),
+    ), target_index=3)
+
+    def make(n):
+        cells = []
+        for _ in range(n):
+            x = float(rng.normal())
+            row = [x, str(rng.choice(["a", "b", "c"])), 2.5,
+                   "pos" if x + rng.normal(0, 0.5) > 0 else "neg", 3 * x + float(rng.normal())]
+            cells.append([MISSING if rng.random() < blank else v for v in row])
+        return RawTable(schema=schema, cells=cells)
+
+    train, test = make(n_train), make(n_test)
+    return train, test, MetricSpace.fit(train, fit_codecs(train))
+
+
+def with_cell(table, i, j, value):
+    cells = [list(row) for row in table.cells]
+    cells[i][j] = value
+    return RawTable(schema=table.schema, cells=cells)
+
+
+class TestMatchesLookup:
+    """Features and MLE scores equal the cell-by-cell lookups bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_bounds_are_observed_extremes(self, seed):
+        train, _, space = mixed_tables(seed)
+        for j in (0, 2, 4):
+            vals = [v for v in train.column(j) if v is not MISSING]
+            assert (space.mins[j], space.maxs[j]) == (min(vals), max(vals))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("exclude", [None, 0, 1, 3, 4])
+    def test_features(self, seed, exclude):
+        train, test, space = mixed_tables(seed)
+        for table in (train, test):
+            got = space.transform(table, exclude=exclude)
+            want = metric_features_by_lookup(space, table, exclude=exclude)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mle_proxy(self, seed):
+        train, test, space = mixed_tables(seed)
+        for target, task in ((3, "classify"), (4, "regress")):
+            got = mle_proxy(train, test, space, target, task, seed=seed)
+            assert got == mle_proxy_by_lookup(train, test, space, target, task, seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), st.floats(-1e6, 1e6)),
+        st.one_of(st.none(), st.sampled_from(["a", "b"]))), min_size=1, max_size=25))
+    def test_features_random_cells(self, rows):
+        train, space = toy_space()
+        cells = [[MISSING if x is None else x, MISSING if c is None else c] for x, c in rows]
+        table = RawTable(schema=train.schema, cells=cells)
+        if any(x is not None for x, _ in rows):  # bounds from the random cells themselves
+            space = MetricSpace.fit(table, space.codecs)
+        got = space.transform(table)
+        assert got.tobytes() == metric_features_by_lookup(space, table).tobytes()
+
+
+class TestBadCells:
+    @pytest.mark.parametrize("j, value, field", [(0, float("nan"), "x"), (0, float("-inf"), "x"),
+                                                  (1, "zz", "c"), (3, "qq", "y")])
+    def test_transform_names_field(self, j, value, field):
+        train, test, space = mixed_tables(0)
+        with pytest.raises(CodecError, match=f"^field '{field}': "):
+            space.transform(with_cell(test, 2, j, value))
+
+    def test_fit_names_non_finite_field(self):
+        train, _, space = mixed_tables(0)
+        with pytest.raises(CodecError, match="^field 't': non-finite"):
+            MetricSpace.fit(with_cell(train, 5, 4, float("inf")), space.codecs)
+
+    @pytest.mark.parametrize("j, value, field", [(0, float("nan"), "x"), (1, "zz", "c"),
+                                                  (3, "qq", "y")])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_mle_proxy_names_field(self, j, value, field, side):
+        train, test, space = mixed_tables(0)
+        tables = [train, test]
+        tables[side] = with_cell(tables[side], 4, j, value)
+        with pytest.raises(CodecError, match=f"^field '{field}': "):
+            mle_proxy(*tables, space, 3, "classify")
+
+    def test_regression_target_must_be_continuous(self):
+        train, test, space = mixed_tables(0)
+        with pytest.raises(MetricError, match="continuous"):
+            mle_proxy(train, test, space, 3, "regress")
 
 
 class TestMleProxy:

@@ -189,6 +189,29 @@ class TestEmbedRows:
         assert emb.shape == (1, 64)
 
 
+class TestInferenceContext:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_no_tape_training_off_and_restored(self, training):
+        m = small_model()
+        m.training = training
+        tokens, mask = np.array([[0, 1, 1]]), np.zeros((1, 3), dtype=bool)
+        with m.inference():
+            assert m.training is False
+            logits = m.forward(tokens, mask)
+        assert all(not t.requires_grad and t._parents == () for t in logits)
+        assert m.training is training
+        assert m.forward(tokens, mask)[0].requires_grad
+
+    def test_restored_after_exception(self):
+        m = small_model()
+        m.training = True
+        with pytest.raises(ValueError):
+            with m.inference():
+                m.embed_rows(np.array([[0, 0]]))  # wrong field count
+        assert m.training is True
+        assert m.forward(np.array([[0, 1, 1]]), np.zeros((1, 3), dtype=bool))[0].requires_grad
+
+
 class TestComputeDtype:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_training_step_stays_in_model_dtype(self, monkeypatch, dtype):
