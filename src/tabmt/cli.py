@@ -6,6 +6,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import CategoricalCodec, decode_table, encode_table, fit_codecs
 from .flowcheck import FlowRecord, check_invariants, decompose_timestamp
@@ -102,17 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_temps(arg: str | None, l: int) -> tuple[float, ...] | None:
+def _parse_temps(arg: str | None) -> tuple[float, ...] | None:
     if arg is None:
         return None
-    temps = tuple(float(x) for x in arg.split(","))
-    if len(temps) != l:
-        raise CliError(f"expected {l} temperatures, got {len(temps)}")
-    return temps
+    try:
+        return tuple(float(x) for x in arg.split(","))
+    except ValueError:
+        raise CliError(f"--temps {arg!r} is not a comma-separated list of numbers") from None
 
 
-def _parse_condition(pairs: list[str], schema, codecs) -> dict[int, int]:
-    """Field index -> token, each value parsed as a CSV cell and encoded as one."""
+def _parse_condition(pairs: list[str], schema, codecs) -> tuple[dict[int, int], list]:
+    """Field index -> token, each value parsed and encoded as a CSV cell; and the parsed row."""
     row = [MISSING] * schema.n_fields
     names = schema.names
     for pair in pairs:
@@ -126,7 +128,7 @@ def _parse_condition(pairs: list[str], schema, codecs) -> dict[int, int]:
         if row[j] is MISSING:
             raise CliError(f"condition {pair!r} gives no value")
     encoded = encode_table(RawTable(schema=schema, cells=[row]), codecs)
-    return {j: int(encoded.tokens[0, j]) for j, v in enumerate(row) if v is not MISSING}
+    return {j: int(encoded.tokens[0, j]) for j, v in enumerate(row) if v is not MISSING}, row
 
 
 def _load_model(path: str):
@@ -159,12 +161,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_generate(args) -> int:
     model, schema = _load_model(args.checkpoint)
-    temps = _parse_temps(args.temps, model.n_fields)
-    condition = _parse_condition(args.condition, schema, model.codecs)
+    temps = _parse_temps(args.temps)
+    condition, row = _parse_condition(args.condition, schema, model.codecs)
     spec = GenerationSpec(count=args.count, temps=temps, condition=condition,
                           seed=args.seed)
     tokens = generate(model, spec)
     tokens.schema = schema
+    tokens.source = RawTable(schema=schema, cells=[row] * args.count)
     table = decode_table(tokens, model.codecs)
     write_csv(table, args.out)
     print(f"wrote {args.count} rows to {args.out}")
@@ -173,14 +176,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model, schema = _load_model(args.checkpoint)
-    real_train = load_csv(args.real_train, schema, args.missing_marker)
-    real_test = load_csv(args.real_test, schema, args.missing_marker)
-    synth = load_csv(args.synth, schema, args.missing_marker)
+    real_tok, test_tok, synth_tok = (
+        encode_table(load_csv(path, schema, args.missing_marker), model.codecs)
+        for path in (args.real_train, args.real_test, args.synth))
+    real_train, real_test, synth = real_tok.source, test_tok.source, synth_tok.source
     space = MetricSpace.fit(real_train, model.codecs)
     train_vec = space.transform(real_train)
     synth_vec = space.transform(synth)
-    real_tok = encode_table(real_train, model.codecs)
-    synth_tok = encode_table(synth, model.codecs)
     counts, edges = correlation_error_histogram(train_vec, synth_vec)
     real_emb = model.embed_rows(real_tok.tokens, real_tok.missing)
     synth_emb = model.embed_rows(synth_tok.tokens, synth_tok.missing)
@@ -195,7 +197,8 @@ def _cmd_evaluate(args) -> int:
         dcr_median=dcr(synth_vec, train_vec),
         correlation_hist_counts=[int(c) for c in counts],
         correlation_hist_edges=[float(e) for e in edges],
-        diversity=diversity(synth_tok.tokens, real_tok.tokens),
+        diversity=diversity(*(np.ma.masked_array(t.tokens, t.missing)
+                              for t in (synth_tok, real_tok))),
         precision=precision,
         recall=recall,
         mle_proxy=proxy,
@@ -210,9 +213,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_impute(args) -> int:
     model, schema = _load_model(args.checkpoint)
-    table = load_csv(args.data, schema, args.missing_marker)
-    tokens = encode_table(table, model.codecs)
-    temps = _parse_temps(args.temps, model.n_fields)
+    tokens = encode_table(load_csv(args.data, schema, args.missing_marker), model.codecs)
+    temps = _parse_temps(args.temps)
     filled = impute(model, tokens, temps=temps, seed=args.seed)
     out = decode_table(filled, model.codecs)
     write_csv(out, args.out)
@@ -224,8 +226,10 @@ def _cmd_pareto(args) -> int:
     model, schema = _load_model(args.checkpoint)
     if schema.target_index is None:
         raise CliError("schema declares no target column for the quality objective")
-    real_train = load_csv(args.real_train, schema, args.missing_marker)
-    real_test = load_csv(args.real_test, schema, args.missing_marker)
+    # Encoding checks every cell before the search runs the model.
+    real_train, real_test = (
+        encode_table(load_csv(path, schema, args.missing_marker), model.codecs).source
+        for path in (args.real_train, args.real_test))
     space = MetricSpace.fit(real_train, model.codecs)
     evaluator = CandidateEvaluator(model, space, real_train, real_test,
                                    schema.target_index, args.task,

@@ -23,8 +23,8 @@ class GenerationSpec:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("count must be non-negative")
-        if self.temps is not None and any(t <= 0 for t in self.temps):
-            raise ValueError("user temperatures must be strictly positive")
+        if self.temps is not None:  # generate checks the count against the model
+            _checked_temps(self.temps, len(self.temps))
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
 
@@ -50,14 +50,18 @@ def sample_field(logits: np.ndarray, tau_u: float, rng: np.random.Generator
     return np.minimum((u >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
 
 
-def _resolve_temps(model: TabMTModel, temps) -> list[float]:
-    l = model.n_fields
+def _checked_temps(temps, l: int) -> list[float]:
+    """``l`` temperatures, each finite and greater than 0; None gives 1 per field."""
     if temps is None:
         return [1.0] * l
-    temps = list(temps)
+    temps = [float(t) for t in temps]
     if len(temps) != l:
-        raise ValueError(f"expected {l} temperatures, got {len(temps)}")
-    return [float(t) for t in temps]
+        raise ValueError(f"temps: expected {l} temperatures, got {len(temps)}")
+    for j, t in enumerate(temps):
+        if not (np.isfinite(t) and t > 0):
+            raise ValueError(f"temps: field {j}'s temperature {t!r} "
+                             "is not finite and greater than 0")
+    return temps
 
 
 def _field_order(fields, rng: np.random.Generator) -> np.ndarray:
@@ -86,7 +90,7 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
     as their count of distinct states would vary with the drawn order.
     """
     l = model.n_fields
-    temps = _resolve_temps(model, spec.temps)
+    temps = _checked_temps(spec.temps, l)
     for j, t in spec.condition.items():
         if not 0 <= j < l:
             raise ValueError(f"conditioned field index {j} out of range")
@@ -119,7 +123,7 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     Field j's logits are computed for the rows where j is still masked,
     once per distinct row state.
     """
-    temps_l = _resolve_temps(model, temps)
+    temps_l = _checked_temps(temps, model.n_fields)
     rng = np.random.default_rng(seed)
     tokens = table.tokens.copy()
     n_total, l = tokens.shape

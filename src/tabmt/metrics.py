@@ -161,7 +161,8 @@ def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
     keep = (sr != 0) & (ss != 0)
     zr = (real[:, keep] - mr[keep]) / sr[keep]
     zs = (synth[:, keep] - ms[keep]) / ss[keep]
-    err = np.abs((zr.T @ zr) / len(real) - (zs.T @ zs) / len(synth))
+    # Rounding can carry an error past 2, where the histogram would drop it.
+    err = np.minimum(np.abs((zr.T @ zr) / len(real) - (zs.T @ zs) / len(synth)), 2.0)
     d, dv = real.shape[1], zr.shape[1]
     counts, edges = np.histogram(err[np.triu_indices(dv, k=1)], bins=bins, range=(0.0, 2.0))
     counts[0] += d * (d - 1) // 2 - dv * (dv - 1) // 2
@@ -177,15 +178,15 @@ def write_histogram_csv(counts: np.ndarray, edges: np.ndarray, path: str):
 
 
 def diversity(synth_tokens: np.ndarray, real_tokens: np.ndarray) -> float:
-    """Mean per-field set coverage of real distinct values by the synth set."""
-    synth_tokens, real_tokens = np.asarray(synth_tokens), np.asarray(real_tokens)
+    """Mean per-field share of the real distinct values that the synth set holds, over
+    the fields with an observed real value; masked cells (blanks) are no value."""
+    synth_tokens, real_tokens = np.ma.asarray(synth_tokens), np.ma.asarray(real_tokens)
     if synth_tokens.shape[1] != real_tokens.shape[1]:
         raise MetricError("field count mismatch")
-    covs = []
-    for j in range(real_tokens.shape[1]):
-        real_set = set(real_tokens[:, j].tolist())
-        synth_set = set(synth_tokens[:, j].tolist())
-        covs.append(len(real_set & synth_set) / len(real_set))
+    covs = [np.isin(np.unique(r.compressed()), s.compressed()).mean()
+            for s, r in zip(synth_tokens.T, real_tokens.T) if r.count()]
+    if not covs:
+        raise MetricError("no observed real value")
     return float(np.mean(covs))
 
 

@@ -54,10 +54,6 @@ class OrderedEmbedding:
         self.l_vec = Parameter((rng.normal(0, 0.05, dim)).astype(dtype))
         self.h_vec = Parameter((rng.normal(0, 0.05, dim)).astype(dtype))
 
-    @property
-    def cardinality(self) -> int:
-        return self.E.data.shape[0]
-
     def weight(self) -> Tensor:
         r = self.ratios[:, None]
         lo = ad.mul(Tensor(r), ad.reshape(self.l_vec, (1, -1)))
@@ -72,10 +68,6 @@ class CategoricalEmbedding:
     def __init__(self, cardinality: int, dim: int, rng: np.random.Generator, dtype):
         self.E = Parameter(rng.normal(0, 0.05, (cardinality, dim)).astype(dtype))
 
-    @property
-    def cardinality(self) -> int:
-        return self.E.data.shape[0]
-
     def weight(self) -> Tensor:
         return self.E
 
@@ -88,8 +80,7 @@ class DynamicLinear:
 
     def __init__(self, embedding, dtype):
         self.embedding = embedding
-        k = embedding.cardinality
-        self.bias = Parameter(np.zeros(k, dtype=dtype))
+        self.bias = Parameter(np.zeros(embedding.E.data.shape[0], dtype=dtype))
         self.temp = Parameter(np.ones(1, dtype=dtype))
 
     def forward(self, x: Tensor) -> Tensor:
@@ -235,28 +226,25 @@ class TabMTModel:
 
     def _hidden(self, tokens: np.ndarray, mask: np.ndarray,
                 rng: np.random.Generator | None) -> Tensor:
-        """Final encoder hidden states after the pre-head layer norm."""
+        """Final encoder hidden states after the pre-head layer norm. Each field looks up
+        its own table; one blend over all fields puts the mask token in every masked cell."""
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
         n, l = tokens.shape
         if l != self.n_fields:
             raise ValueError(f"expected {self.n_fields} fields, got {l}")
-        dt = self.cfg.np_dtype
         rng = rng or np.random.default_rng(0)
-        cols = []
-        for j in range(l):
-            m = mask[:, j]
-            # Masked positions read the mask token; their token value is
-            # irrelevant, so clamp it into range before the lookup.
-            idx = np.where(m, 0, tokens[:, j])
-            if np.any((idx < 0) | (idx >= self.codecs[j].cardinality)):
-                raise ValueError(f"token out of range at unmasked position, field {j}")
-            emb = ad.gather_rows(self.embeddings[j].weight(), idx)
-            mcol = m.astype(dt)[:, None]
-            col = ad.add(ad.mul(emb, Tensor(1.0 - mcol)),
-                         ad.mul(ad.reshape(self.mask_token, (1, -1)), Tensor(mcol)))
-            cols.append(col)
-        x = ad.stack(cols, axis=1)
+        # Masked positions read the mask token; their token value is
+        # irrelevant, so clamp it into range before the lookup.
+        idx = np.where(mask, 0, tokens)
+        bad = ((idx < 0) | (idx >= np.asarray(self.cardinalities))).any(axis=0)
+        if bad.any():
+            raise ValueError(f"token out of range at unmasked position, field {np.argmax(bad)}")
+        emb = ad.stack([ad.gather_rows(e.weight(), idx[:, j])
+                        for j, e in enumerate(self.embeddings)], axis=1)
+        m = mask.astype(self.cfg.np_dtype)[:, :, None]
+        x = ad.add(ad.mul(emb, Tensor(1.0 - m)),
+                   ad.mul(ad.reshape(self.mask_token, (1, 1, -1)), Tensor(m)))
         x = ad.add(x, ad.reshape(self.positional, (1, l, self.cfg.width)))
         for blk in self.blocks:
             x = blk.forward(x, rng, self.training)

@@ -277,6 +277,46 @@ def count_forward_rows():
         TabMTModel.forward = original
 
 
+def hidden_per_field(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
+                     rng: np.random.Generator | None) -> ad.Tensor:
+    """Oracle for ``TabMTModel._hidden``: the input side one field at a
+    time, each field's cells blended with the mask token on their own."""
+    tokens = np.asarray(tokens)
+    mask = np.asarray(mask, dtype=bool)
+    n, l = tokens.shape
+    if l != model.n_fields:
+        raise ValueError(f"expected {model.n_fields} fields, got {l}")
+    dt = model.cfg.np_dtype
+    rng = rng or np.random.default_rng(0)
+    cols = []
+    for j in range(l):
+        m = mask[:, j]
+        idx = np.where(m, 0, tokens[:, j])
+        if np.any((idx < 0) | (idx >= model.codecs[j].cardinality)):
+            raise ValueError(f"token out of range at unmasked position, field {j}")
+        emb = ad.gather_rows(model.embeddings[j].weight(), idx)
+        mcol = m.astype(dt)[:, None]
+        col = ad.add(ad.mul(emb, ad.Tensor(1.0 - mcol)),
+                     ad.mul(ad.reshape(model.mask_token, (1, -1)), ad.Tensor(mcol)))
+        cols.append(col)
+    x = ad.stack(cols, axis=1)
+    x = ad.add(x, ad.reshape(model.positional, (1, l, model.cfg.width)))
+    for blk in model.blocks:
+        x = blk.forward(x, rng, model.training)
+    return ad.layer_norm(x, model.ln_f_g, model.ln_f_b)
+
+
+@contextlib.contextmanager
+def per_field_hidden():
+    """Run every ``TabMTModel`` inside the block on ``hidden_per_field``."""
+    original = TabMTModel._hidden
+    TabMTModel._hidden = hidden_per_field
+    try:
+        yield
+    finally:
+        TabMTModel._hidden = original
+
+
 def brute_dcr(synth: np.ndarray, train_vec: np.ndarray) -> float:
     dists = []
     for s in synth:
@@ -316,11 +356,10 @@ def brute_precision_recall(real: np.ndarray, synth: np.ndarray, k: int = 3
     return covered(synth, real, real_r), covered(real, synth, synth_r)
 
 
-def correlation_error_histogram_dense(real: np.ndarray, synth: np.ndarray,
-                                      bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle for ``metrics.correlation_error_histogram``: the same histogram
-    from dense d x d correlation matrices, every pair with a column constant
-    in either table zeroed in place."""
+def correlation_errors_dense(real: np.ndarray, synth: np.ndarray) -> np.ndarray:
+    """|corr_real(i,j) - corr_synth(i,j)| for every unordered column pair, in
+    ``np.triu_indices`` order, from dense d x d correlation matrices; every
+    pair with a column constant in either table zeroed in place."""
     real, synth = np.asarray(real, dtype=np.float64), np.asarray(synth, dtype=np.float64)
     if real.shape[1] != synth.shape[1]:
         raise MetricError("column count mismatch")
@@ -342,9 +381,14 @@ def correlation_error_histogram_dense(real: np.ndarray, synth: np.ndarray,
     either_const = const_r | const_s
     err[either_const, :] = 0.0
     err[:, either_const] = 0.0
-    iu = np.triu_indices(real.shape[1], k=1)
-    counts, edges = np.histogram(err[iu], bins=bins, range=(0.0, 2.0))
-    return counts, edges
+    return err[np.triu_indices(real.shape[1], k=1)]
+
+
+def correlation_error_histogram_dense(real: np.ndarray, synth: np.ndarray,
+                                      bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``metrics.correlation_error_histogram``: the histogram of
+    ``correlation_errors_dense``."""
+    return np.histogram(correlation_errors_dense(real, synth), bins=bins, range=(0.0, 2.0))
 
 
 def metric_features_by_lookup(space, table, exclude=None) -> np.ndarray:

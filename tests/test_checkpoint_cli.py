@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_toy_tokens, toy_codecs
+from conftest import count_forward_rows, make_toy_tokens, toy_codecs
 from tabmt import checkpoint
 from tabmt.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from tabmt.cli import _parse_condition, main
 from tabmt.codec import decode_table
+from tabmt.generation import GenerationSpec, generate
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.schema import (
     CATEGORICAL,
@@ -511,17 +512,19 @@ class TestBadCellNamesField:
     @pytest.mark.parametrize("row, field", BAD_CELLS)
     @pytest.mark.parametrize("which", ["train", "test"])
     def test_pareto(self, trained_three_cli, tmp_path, capsys, which, row, field):
+        # Both tables are checked before the search runs any forward pass.
         t = trained_three_cli
         tables = self.bad_csv(t, which, row, tmp_path)
         front = tmp_path / "front.csv"
-        rc = main(["pareto", "--checkpoint", t["ckpt"], "--real-train", tables["train"],
-                   "--real-test", tables["test"], "--out", str(front), "--task", "classify",
-                   "--generations", "1", "--population", "4", "--eval-budget", "20"])
+        with count_forward_rows() as calls:
+            rc = main(["pareto", "--checkpoint", t["ckpt"], "--real-train", tables["train"],
+                       "--real-test", tables["test"], "--out", str(front), "--task", "classify",
+                       "--generations", "1", "--population", "4", "--eval-budget", "20"])
         assert rc == 1
         err = single_error(capsys)
         assert err["error"] == "CodecError"
         assert err["message"].startswith(f"field '{field}': ")
-        assert not front.exists()
+        assert not front.exists() and calls == []
 
     @pytest.mark.parametrize("pair, error, start", [
         ("x=abc", "SchemaError", "non-numeric value 'abc' in continuous column 'x'"),
@@ -540,6 +543,124 @@ class TestBadCellNamesField:
 
     def test_condition_tokens_are_the_codecs(self, trained_three_cli):
         model, schema, _ = load_checkpoint(trained_three_cli["ckpt"])
-        got = _parse_condition(["c=b", "x=0.3", "y=neg", "x=-1e9"], schema, model.codecs)
+        got, row = _parse_condition(["c=b", "x=0.3", "y=neg", "x=-1e9"], schema, model.codecs)
         assert got == {0: model.codecs[0].encode(-1e9), 1: model.codecs[1].encode("b"),
                        2: model.codecs[2].encode("neg")}
+        assert row == [-1e9, "b", "neg"]
+
+
+class TestConditionWrittenAsGiven:
+    def test_conditioned_csv_bytes(self, trained_three_cli, tmp_path):
+        # A conditioned continuous cell is written as parsed, not as its bin
+        # centre; every other cell is the generated one.
+        t = trained_three_cli
+        model, schema, _ = load_checkpoint(t["ckpt"])
+        assert 0.3 not in model.codecs[0].centers
+        out = tmp_path / "gen.csv"
+        assert main(["generate", "--checkpoint", t["ckpt"], "--count", "25",
+                     "--out", str(out), "--condition", "x=0.3", "--condition", "c=b",
+                     "--seed", "4"]) == 0
+        spec = GenerationSpec(count=25, condition={0: model.codecs[0].encode(0.3),
+                                                   1: model.codecs[1].encode("b")}, seed=4)
+        tokens = generate(model, spec)
+        tokens.schema = schema
+        table = decode_table(tokens, model.codecs)
+        for row in table.cells:
+            row[0] = 0.3
+        want = tmp_path / "want.csv"
+        write_csv(table, str(want))
+        assert out.read_bytes() == want.read_bytes()
+        assert [r.split(",")[:2] for r in out.read_text().splitlines()[1:]] == [["0.3", "b"]] * 25
+
+
+@pytest.fixture(scope="module")
+def untargeted_cli(trained_three_cli, tmp_path_factory):
+    """``trained_three_cli``'s tables under a schema that names no target."""
+    t = trained_three_cli
+    tmp = tmp_path_factory.mktemp("untargeted")
+    schema = TableSchema(fields=(
+        FieldSchema(name="x", kind=CONTINUOUS, max_bins=10),
+        FieldSchema(name="c", kind=CATEGORICAL),
+        FieldSchema(name="y", kind=CATEGORICAL),
+    ))
+    schema_path = str(tmp / "schema.json")
+    save_schema(schema, schema_path)
+    ckpt = str(tmp / "model.ckpt")
+    assert main(train_args(schema_path, str(t["tmp"] / "train.csv"), ckpt, steps=30)) == 0
+    return dict(t, ckpt=ckpt)
+
+
+class TestRealTestCheckedWithoutTarget:
+    """evaluate checks every --real-test cell against the codecs before any
+    model work, also when the schema names no target."""
+
+    @pytest.mark.parametrize("row, field", BAD_CELLS)
+    def test_evaluate_without_target(self, untargeted_cli, tmp_path, capsys, row, field):
+        t = untargeted_cli
+        tables = TestBadCellNamesField().bad_csv(t, "test", row, tmp_path)
+        report = tmp_path / "report.json"
+        with count_forward_rows() as calls:
+            rc = main(["evaluate", "--checkpoint", t["ckpt"], "--real-train", tables["train"],
+                       "--real-test", tables["test"], "--synth", t["synth"],
+                       "--report", str(report)])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "CodecError"
+        assert err["message"].startswith(f"field '{field}': ")
+        assert not report.exists() and not calls
+
+    def test_evaluate_without_target_clean(self, untargeted_cli, tmp_path):
+        t = untargeted_cli
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", t["ckpt"],
+                     "--real-train", str(t["tmp"] / "train.csv"),
+                     "--real-test", str(t["tmp"] / "test.csv"), "--synth", t["synth"],
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["mle_proxy"] is None
+
+
+class TestDiversityCountsObservedCells:
+    def test_blank_real_cell_is_no_value(self, trained_mixed_cli, tmp_path):
+        # The training CSV's one blank cell is in x; a synthetic table of
+        # every other training row covers every observed real value.
+        t = trained_mixed_cli
+        lines = Path(t["data"]).read_text().splitlines()
+        assert lines[4].startswith(",")
+        synth = tmp_path / "synth.csv"
+        synth.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", t["ckpt"], "--real-train", t["data"],
+                     "--real-test", t["test"], "--synth", str(synth),
+                     "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["diversity"] == 1.0
+
+
+class TestTempsFlag:
+    """--temps for generate and impute: a non-number names the flag; a wrong
+    count, or an entry that is not finite and greater than 0, fails with
+    one JSON line before any forward pass."""
+
+    def run(self, t, command, temps, tmp_path):
+        out = tmp_path / "out.csv"
+        if command == "generate":
+            args = ["generate", "--checkpoint", t["ckpt"], "--count", "5"]
+        else:
+            args = ["impute", "--checkpoint", t["ckpt"], "--data", str(t["tmp"] / "test.csv")]
+        with count_forward_rows() as calls:
+            rc = main(args + ["--out", str(out), f"--temps={temps}"])
+        assert rc == 1 and not calls and not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "impute"])
+    @pytest.mark.parametrize("temps, error, start", [
+        ("1,abc,1", "CliError", "--temps '1,abc,1' is not a comma-separated list of numbers"),
+        ("1,,1", "CliError", "--temps '1,,1' is not"),
+        ("1,1", "ValueError", "temps: expected 3 temperatures, got 2"),
+        ("1,nan,1", "ValueError", "temps: field 1's temperature nan is not finite and greater than 0"),
+        ("1,1,0", "ValueError", "temps: field 2's temperature 0.0 is not"),
+        ("-1,1,1", "ValueError", "temps: field 0's temperature -1.0 is not"),
+        ("1,inf,1", "ValueError", "temps: field 1's temperature inf is not"),
+    ])
+    def test_bad_temps(self, trained_three_cli, tmp_path, capsys, command, temps, error, start):
+        self.run(trained_three_cli, command, temps, tmp_path)
+        err = single_error(capsys)
+        assert err["error"] == error and err["message"].startswith(start)

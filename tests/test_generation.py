@@ -118,6 +118,40 @@ class TestGenerate:
             generate(trained_toy_model, GenerationSpec(count=1, condition={5: 0}))
 
 
+BAD_TEMPS = [-1.0, 0.0, math.nan, math.inf, -math.inf]
+
+
+class TestTemperatureCheck:
+    """generate and impute take one finite temperature greater than 0 per
+    field, and check it before any forward pass."""
+
+    @pytest.mark.parametrize("bad", BAD_TEMPS)
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_impute_rejects_bad_value(self, trained_toy_model, bad, j):
+        temps = [1.0, 1.0]
+        temps[j] = bad
+        tt = make_toy_tokens("deterministic", n=20, seed=2)
+        tt.missing[:, 1] = True
+        with count_forward_rows() as calls:
+            with pytest.raises(ValueError, match=f"field {j}'s temperature"):
+                impute(trained_toy_model, tt, temps=temps)
+        assert not calls
+
+    @pytest.mark.parametrize("bad", BAD_TEMPS)
+    def test_spec_rejects_bad_value(self, bad):
+        with pytest.raises(ValueError, match="field 1's temperature"):
+            GenerationSpec(count=5, temps=(1.0, bad))
+
+    @pytest.mark.parametrize("temps", [(1.0,), (1.0, 1.0, 1.0)])
+    def test_wrong_count(self, trained_toy_model, temps):
+        with count_forward_rows() as calls:
+            with pytest.raises(ValueError, match=f"expected 2 temperatures, got {len(temps)}"):
+                generate(trained_toy_model, GenerationSpec(count=5, temps=temps))
+            with pytest.raises(ValueError, match=f"expected 2 temperatures, got {len(temps)}"):
+                impute(trained_toy_model, make_toy_tokens("deterministic", n=5), temps=temps)
+        assert not calls
+
+
 class TestImpute:
     def test_no_missing_is_noop(self, trained_toy_model):
         tokens = make_toy_tokens("deterministic", n=50, seed=2)

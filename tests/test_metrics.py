@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,6 +10,7 @@ from conftest import (
     brute_dcr,
     brute_precision_recall,
     correlation_error_histogram_dense,
+    correlation_errors_dense,
     explicit_min_dists,
     metric_features_by_lookup,
     mle_proxy_by_lookup,
@@ -115,6 +116,16 @@ class TestCorrelationErrors:
         counts, _ = correlation_error_histogram(real, synth)
         assert counts.sum() == 7 * 6 // 2
 
+    def test_error_rounded_past_two_is_counted(self):
+        # Two rows correlate every varying pair at exactly +-1, so a pair's
+        # error of exactly 2 can round past 2.
+        rng = np.random.default_rng(28)
+        real, synth = one_hot_cloud(rng, 2, [11, 4], 0), one_hot_cloud(rng, 19, [11, 4], 0)
+        real[:, rng.random(15) < 0.1] = 0.5
+        synth[:, rng.random(15) < 0.1] = 0.25
+        counts, _ = correlation_error_histogram(real, synth, bins=1)
+        assert list(counts) == [15 * 14 // 2]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("side", [0, 1])
     def test_non_finite_rejected(self, bad, side):
@@ -137,18 +148,45 @@ def one_hot_cloud(rng, n: int, widths, n_cont: int) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+_U = np.finfo(np.float64).eps / 2
+
+
+def dense_rounding_bound(n_real: int, n_synth: int) -> float:
+    """How far a pair's error may lie from the dense oracle's.
+
+    Both forms correlate the same standardized columns z, whose squares sum
+    to about n, but through BLAS products of different shapes, which sum a
+    pair's n terms z_a z_b in different orders. With u the unit roundoff, any
+    order is within gamma_n sum |z_a z_b| <= gamma_n n of the exact sum,
+    gamma_n = n u / (1 - n u), so two correlations differ by at most
+    2 gamma_n plus 2u for the division by n. Two errors then differ by at
+    most 2 gamma_{n_real} + 2 gamma_{n_synth} + 8u, 4u of it for rounding
+    the subtractions; twice that covers the second-order terms."""
+    return 4 * (n_real + n_synth + 4) * _U / (1 - (n_real + n_synth) * _U)
+
+
 def assert_matches_dense(real, synth, bins=20):
+    """The histogram has the dense oracle's edges and mass, and its counts
+    are the oracle's except that a pair whose dense error lies within
+    ``dense_rounding_bound`` of an edge may count in either bin it touches."""
     counts, edges = correlation_error_histogram(real, synth, bins=bins)
-    want_counts, want_edges = correlation_error_histogram_dense(real, synth, bins=bins)
-    assert np.array_equal(counts, want_counts)
-    assert np.array_equal(edges, want_edges)
+    assert np.array_equal(edges, correlation_error_histogram_dense(real, synth, bins=bins)[1])
     d = real.shape[1]
     assert counts.sum() == d * (d - 1) // 2
+    err, delta = correlation_errors_dense(real, synth), dense_rounding_bound(len(real), len(synth))
+    lo, hi = (np.clip(np.searchsorted(edges, v, side="right") - 1, 0, bins - 1)
+              for v in (err - delta, err + delta))
+    b = np.arange(bins)[:, None]
+    sure = ((lo == b) & (hi == b)).sum(axis=1)
+    possible = ((lo <= b) & (b <= hi)).sum(axis=1)
+    assert np.all(sure <= counts) and np.all(counts <= possible)
+    return sure, possible
 
 
 class TestCorrelationMatchesDense:
     """Correlating only the columns that vary in both tables gives the
-    dense histogram's counts and edges exactly."""
+    dense histogram's edges, and its counts except where a bin edge lies
+    within rounding of a pair's error."""
 
     @pytest.mark.parametrize("const_real, const_synth", [
         ([1], []), ([], [2, 4]), ([0, 3], [3]), ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
@@ -178,6 +216,8 @@ class TestCorrelationMatchesDense:
                              one_hot_cloud(rng, 16, widths, 6), bins=bins)
 
     @settings(max_examples=150, deadline=None)
+    @example(seed=262994, n_real=17, n_synth=16, widths=[6, 5, 1], n_cont=4, bins=4)
+    @example(seed=28, n_real=2, n_synth=19, widths=[11, 4], n_cont=0, bins=1)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 20),
            st.lists(st.integers(1, 12), max_size=4), st.integers(0, 4),
            st.integers(1, 30))
@@ -188,6 +228,17 @@ class TestCorrelationMatchesDense:
         real[:, rng.random(real.shape[1]) < 0.1] = 0.5
         synth[:, rng.random(synth.shape[1]) < 0.1] = 0.25
         assert_matches_dense(real, synth, bins=bins)
+
+    def test_error_on_a_bin_edge(self):
+        # One pair's exact error is 0.5, a bin edge; BLAS may round the two
+        # forms' products to either side of it.
+        rng = np.random.default_rng(262994)
+        real = one_hot_cloud(rng, 17, [6, 5, 1], 4)
+        synth = one_hot_cloud(rng, 16, [6, 5, 1], 4)
+        real[:, rng.random(real.shape[1]) < 0.1] = 0.5
+        synth[:, rng.random(synth.shape[1]) < 0.1] = 0.25
+        sure, possible = assert_matches_dense(real, synth, bins=4)
+        assert list(sure) == [111, 7, 1, 0] and list(possible) == [112, 8, 1, 0]
 
     def test_peak_memory_bounded_by_varying_columns(self):
         rng = np.random.default_rng(14)
@@ -219,6 +270,32 @@ class TestDiversity:
         real = np.stack([np.arange(8), np.arange(8)], axis=1)
         synth = np.stack([np.arange(4), np.arange(4)], axis=1)
         assert diversity(synth, real) == 0.5
+
+    def test_blank_cells_are_no_value(self):
+        # Field 1's blank real cell holds the sentinel 2, which no synthetic
+        # row can hold; only observed cells count, on both sides.
+        real = np.array([[0, 0], [1, 1], [2, 2]])
+        real_blank = np.array([[False, False], [False, False], [False, True]])
+        synth = np.array([[0, 1], [1, 0], [2, 2]])
+        synth_blank = np.array([[False, False], [False, False], [True, True]])
+        assert diversity(synth[:2], real) == pytest.approx((2 / 3 + 2 / 3) / 2)
+        assert diversity(synth[:2], np.ma.masked_array(real, real_blank)) == pytest.approx(
+            (2 / 3 + 1) / 2)
+        assert diversity(np.ma.masked_array(synth, synth_blank),
+                         np.ma.masked_array(real, real_blank)) == pytest.approx((2 / 3 + 1) / 2)
+
+    def test_full_coverage_with_a_blank_real_cell(self):
+        real = np.array([[0, 0], [1, 1], [2, 2]])
+        synth = np.array([[0, 1], [1, 0], [2, 1]])
+        blank = np.zeros(real.shape, dtype=bool)
+        blank[2, 1] = True
+        assert diversity(synth, np.ma.masked_array(real, blank)) == 1.0
+
+    def test_field_with_no_observed_real_value_left_out(self):
+        real = np.ma.masked_array([[0, 5], [1, 5]], [[False, True], [False, True]])
+        assert diversity(np.array([[0, 0]]), real) == 0.5
+        with pytest.raises(MetricError, match="no observed real value"):
+            diversity(np.array([[0, 0]]), np.ma.masked_array(real.data, True))
 
 
 class TestPrecisionRecall:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import per_field_hidden
 from tabmt import autodiff as ad
 from tabmt.codec import fit_categorical, fit_continuous
 from tabmt.model import (
@@ -9,7 +10,9 @@ from tabmt.model import (
     OrderedEmbedding,
     TabMTModel,
 )
+from tabmt.generation import GenerationSpec, generate, impute
 from tabmt.optim import AdamW
+from tabmt.schema import TokenTable
 from tabmt.training import training_step
 
 
@@ -259,3 +262,120 @@ class TestFieldSubset:
         got = m.embed_rows(sentinel, missing)
         h = m._hidden(tokens, missing, None).data.mean(axis=1)
         assert np.array_equal(got, h)
+
+
+def mixed_case(l: int, seed: int, dtype: str):
+    """A model over ``l`` mixed fields (continuous, small categorical and,
+    from l = 4, one 1,000-way field) and a batch for it: tokens with
+    blank cells holding their field's sentinel, and a mask over the blanks
+    and a random third of the other cells. Row 0 is fully masked, row 1
+    has nothing masked, row 2 is all blank."""
+    rng = np.random.default_rng(seed)
+    codecs = []
+    for j in range(l):
+        if l >= 4 and j == l // 2:
+            codecs.append(fit_categorical([f"v{i}" for i in range(1000)]))
+        elif j % 2 == 0:
+            codecs.append(fit_continuous(rng.normal(size=40).tolist(),
+                                         max_bins=int(rng.integers(2, 12))))
+        else:
+            codecs.append(fit_categorical(list("abcdefgh"[:int(rng.integers(2, 9))])))
+
+    def model():
+        return TabMTModel(codecs, ModelConfig(width=16, depth=2, heads=2, dropout=0.1,
+                                              drop_path=0.1, dtype=dtype), seed=seed)
+
+    n = 24
+    cards = np.array([c.cardinality for c in codecs])
+    tokens = (rng.random((n, l)) * cards).astype(np.int64)
+    missing = rng.random((n, l)) < 0.15
+    missing[1], missing[2] = False, True
+    tokens[missing] = np.broadcast_to(cards, (n, l))[missing]
+    mask = missing | (rng.random((n, l)) < 0.35)
+    mask[0], mask[1] = True, False
+    return model, tokens, missing, mask
+
+
+def both(fn):
+    """``fn()`` on the stacked input side, then on the per-field oracle."""
+    new = fn()
+    with per_field_hidden():
+        old = fn()
+    return new, old
+
+
+MIXED_CASES = [(l, dtype) for l in (1, 2, 3, 4, 9, 16) for dtype in ("float32", "float64")]
+
+
+class TestMatchesPerFieldHidden:
+    """The input side that blends all fields at once gives the per-field
+    loop's logits, loss, gradients, embeddings and sampled tokens, bit for bit."""
+
+    @pytest.mark.parametrize("l, dtype", MIXED_CASES)
+    def test_forward(self, l, dtype):
+        model, tokens, _, mask = mixed_case(l, 10 + l, dtype)
+        m = model()
+        new, old = both(lambda: [t.data.tobytes() for t in m.forward(tokens, mask)])
+        assert new == old
+        for j in range(l):
+            new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data.tobytes())
+            assert new == old
+
+    @pytest.mark.parametrize("l, dtype", MIXED_CASES)
+    def test_training_step_loss_and_gradients(self, l, dtype):
+        model, tokens, missing, _ = mixed_case(l, 20 + l, dtype)
+
+        def step():
+            m = model()
+            m.training = True
+            loss = training_step(m, tokens, missing, np.random.default_rng(5))
+            assert all(p.grad is not None for p in m.parameters())
+            return loss, [(name, p.grad.tobytes()) for name, p in m.named_parameters()]
+
+        new, old = both(step)
+        assert new == old
+
+    @pytest.mark.parametrize("l, dtype", MIXED_CASES)
+    def test_embed_rows(self, l, dtype):
+        model, tokens, missing, _ = mixed_case(l, 30 + l, dtype)
+        m = model()
+        new, old = both(lambda: m.embed_rows(tokens, missing).tobytes())
+        assert new == old
+
+    @pytest.mark.parametrize("l, dtype", MIXED_CASES)
+    def test_generate_and_impute(self, l, dtype):
+        model, tokens, missing, _ = mixed_case(l, 40 + l, dtype)
+        m = model()
+        temps = tuple(np.linspace(0.5, 2.0, l))
+        spec = GenerationSpec(count=40, temps=temps, condition={l - 1: 0}, seed=3,
+                              batch_size=16)
+        new, old = both(lambda: generate(m, spec).tokens.tobytes())
+        assert new == old
+        table = TokenTable(schema=None, tokens=tokens, missing=missing)
+        new, old = both(lambda: impute(m, table, temps=temps, seed=4,
+                                       batch_size=10).tokens.tobytes())
+        assert new == old
+
+    @pytest.mark.parametrize("l", [2, 4, 16])
+    def test_out_of_range_names_lowest_field(self, l):
+        model, tokens, _, mask = mixed_case(l, 50 + l, "float64")
+        m = model()
+        mask[5] = False
+        tokens[5] = 0
+        tokens[5, l - 1] = m.cardinalities[l - 1]
+        lo = (l - 1) // 2
+        tokens[5, lo] = -1
+        # A masked cell may hold anything.
+        mask[6, 0], tokens[6, 0] = True, -7
+
+        def error():
+            with pytest.raises(ValueError, match="out of range") as info:
+                m.forward(tokens, mask)
+            return str(info.value)
+
+        new, old = both(error)
+        assert new == old == f"token out of range at unmasked position, field {lo}"
+        # One past the last token is out of range too.
+        tokens[5, lo] = 0
+        new, old = both(error)
+        assert new == old == f"token out of range at unmasked position, field {l - 1}"
