@@ -285,13 +285,29 @@ def _blocks(n: int, d: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """Each row's maximum of a 2-D array, as a column.
+
+    ``np.maximum.reduce`` costs about 0.1 us per row of up to 16 elements,
+    so many short rows are reduced one column at a time instead. A maximum
+    is exact in any order, so both give the same values.
+    """
+    n, d = x.shape
+    if not 0 < d <= 16 or n < 8 * d:
+        return np.maximum.reduce(x, axis=1, keepdims=True)
+    m = x[:, 0].copy()
+    for j in range(1, d):
+        np.maximum(m, x[:, j], out=m)
+    return m[:, None]
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
     x = _rows(a.data)
     out = np.empty_like(x)
     for sl in _blocks(*x.shape):
-        e = np.exp(x[sl] - np.maximum.reduce(x[sl], axis=-1, keepdims=True))
+        e = np.exp(x[sl] - row_max(x[sl]))
         np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out[sl])
 
     def backward(g):
@@ -419,7 +435,7 @@ def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:
     active = np.asarray(active, dtype=bool)
     n, k = logits.data.shape
     z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
+    zmax = row_max(z)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
     safe_t = np.where(active, targets, 0)
     losses = lse - z[np.arange(n), safe_t]

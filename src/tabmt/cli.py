@@ -127,7 +127,7 @@ def _parse_condition(pairs: list[str], schema, codecs) -> tuple[dict[int, int], 
         row[j] = parse_cell(value, schema.fields[j], "")
         if row[j] is MISSING:
             raise CliError(f"condition {pair!r} gives no value")
-    encoded = encode_table(RawTable(schema=schema, cells=[row]), codecs)
+    encoded = encode_table(RawTable.from_rows(schema, [row]), codecs)
     return {j: int(encoded.tokens[0, j]) for j, v in enumerate(row) if v is not MISSING}, row
 
 
@@ -167,7 +167,7 @@ def _cmd_generate(args) -> int:
                           seed=args.seed)
     tokens = generate(model, spec)
     tokens.schema = schema
-    tokens.source = RawTable(schema=schema, cells=[row] * args.count)
+    tokens.source = RawTable.from_rows(schema, [row] * args.count)
     table = decode_table(tokens, model.codecs)
     write_csv(table, args.out)
     print(f"wrote {args.count} rows to {args.out}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -66,9 +67,8 @@ class CategoricalCodec:
         return int(self.encode_column([v])[0])
 
     def encode_column(self, values) -> np.ndarray:
-        index = self.index
         try:
-            return np.array([index[v] for v in values], dtype=np.int64)
+            return np.fromiter(map(self.index.__getitem__, values), dtype=np.int64)
         except KeyError as e:
             raise CodecError(f"value {e.args[0]!r} not in categorical vocabulary") from None
 
@@ -99,11 +99,19 @@ class ContinuousCodec:
 
     def encode_column(self, xs) -> np.ndarray:
         """Index of the nearest center per value; a tie goes to the lower index."""
-        xs = _finite(xs)
-        out = np.empty(len(xs), dtype=np.int64)
-        step = max(1, 262_144 // len(self.centers))  # 2 MiB distance blocks
-        for s in range(0, len(xs), step):
-            out[s:s + step] = np.argmin(np.abs(xs[s:s + step, None] - self.centers), axis=1)
+        xs, c = _finite(xs), self.centers
+        # Rounded distances |x - c| never grow toward x from either side, so
+        # the nearest center is c[hi] (the first >= x, or the last) or c[hi - 1].
+        hi = np.minimum(np.searchsorted(c, xs), len(c) - 1)
+        lo = np.maximum(hi - 1, 0)
+        d_hi, d_lo = np.abs(xs - c[hi]), np.abs(xs - c[lo])
+        out = np.where(d_hi < d_lo, hi, lo)
+        # Rounding can tie centers further left with it; the lowest of those wins.
+        tied = np.flatnonzero((out > 0) & (np.abs(xs - c[out - 1]) == np.minimum(d_hi, d_lo)))
+        step = max(1, 262_144 // len(c))  # 2 MiB distance blocks
+        for s in range(0, len(tied), step):
+            rows = tied[s:s + step]
+            out[rows] = np.argmin(np.abs(xs[rows, None] - c), axis=1)
         return out
 
     def decode(self, t: int) -> float:
@@ -204,9 +212,17 @@ def _kmeans_1d(columns) -> list[np.ndarray]:
     return centers
 
 
+def _observed(col: list) -> tuple[np.ndarray, list]:
+    """A column's observed-cell mask and its observed cells, in order."""
+    if MISSING not in col:
+        return np.ones(len(col), dtype=bool), col
+    observed = [v is not MISSING for v in col]
+    return np.array(observed, dtype=bool), list(compress(col, observed))
+
+
 def _distinct(values, max_bins: int) -> tuple[np.ndarray, np.ndarray, int]:
     """A column's distinct observed values, their counts and its k."""
-    xs = _finite([v for v in values if v is not MISSING])
+    xs = _finite(_observed(list(values))[1])
     if xs.size == 0:
         raise CodecError("cannot fit a codec on an empty column")
     if max_bins < 1:
@@ -228,10 +244,11 @@ def fit_continuous(values, max_bins: int) -> ContinuousCodec:
 
 def fit_categorical(values) -> CategoricalCodec:
     """Tokens in first-occurrence order, bijective on observed values."""
-    seen = tuple(dict.fromkeys(v for v in values if v is not MISSING))
+    seen = dict.fromkeys(values)
+    seen.pop(MISSING, None)
     if not seen:
         raise CodecError("cannot fit a codec on an empty column")
-    return CategoricalCodec(values=seen)
+    return CategoricalCodec(values=tuple(seen))
 
 
 FieldCodec = CategoricalCodec | ContinuousCodec
@@ -258,9 +275,7 @@ def observed_cells(table: RawTable, j: int, codec: FieldCodec) -> tuple[np.ndarr
     """Field j's observed-row mask and those cells checked against ``codec``: a
     categorical field's tokens, a continuous field's finite values (not quantized).
     An unseen category or a non-finite value raises a CodecError naming the field."""
-    col = table.column(j)
-    observed = np.array([v is not MISSING for v in col], dtype=bool)
-    cells = [v for v in col if v is not MISSING]
+    observed, cells = _observed(table.column(j))
     with _field(table.schema.fields[j].name):
         if isinstance(codec, CategoricalCodec):
             return observed, codec.encode_column(cells)
@@ -292,7 +307,7 @@ def decode_table(table: TokenTable, codecs: list[FieldCodec]) -> RawTable:
         parsed = src.column(j) if src is not None else [MISSING] * table.n_rows
         cols.append([p if p is not MISSING else MISSING if m else d
                      for p, m, d in zip(parsed, miss.tolist(), decoded)])
-    return RawTable(schema=table.schema, cells=[list(row) for row in zip(*cols)])
+    return RawTable(schema=table.schema, columns=cols)
 
 
 def codec_to_json(codec: FieldCodec) -> dict:

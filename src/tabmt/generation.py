@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TabMTModel
+from .autodiff import row_max
+from .model import TabMTModel, distinct_states
 from .schema import TokenTable
 
 ARGMAX_TAU = 1e-6
@@ -42,7 +43,7 @@ def sample_field(logits: np.ndarray, tau_u: float, rng: np.random.Generator
     if tau_u < ARGMAX_TAU:
         return np.argmax(logits, axis=-1)
     z = logits / tau_u
-    z -= z.max(axis=-1, keepdims=True)
+    z -= row_max(z)
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(p, axis=-1)
@@ -72,10 +73,8 @@ def _field_order(fields, rng: np.random.Generator) -> np.ndarray:
 def _field_logits(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
                   j: int) -> np.ndarray:
     """Field j's logits per row, computed once per distinct (tokens, mask)
-    row state: at inference a row's logits depend on its own state only."""
-    key = np.ascontiguousarray(np.where(mask, -1, tokens), dtype=np.int64)
-    states = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, first, inverse = np.unique(states, return_index=True, return_inverse=True)
+    row state."""
+    first, inverse = distinct_states(tokens, mask)
     logits = model.forward(tokens[first], mask[first], fields=(j,))[0].data
     return logits[inverse]
 

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .autodiff import row_max
 from .codec import CategoricalCodec, ContinuousCodec, FieldCodec, observed_cells
 from .optim import AdamW
 from .schema import RawTable
@@ -254,7 +255,7 @@ def _train_logistic(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 3
     for _ in range(steps):
         # Gradient of the mean cross entropy, in the order a tape computes it.
         z = x @ w.data + b.data
-        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p = np.exp(z - row_max(z))
         p /= p.sum(axis=1, keepdims=True)
         p[rows, y] -= 1.0
         g = scale * p

@@ -165,6 +165,16 @@ class _EncoderBlock:
         return [(n, getattr(self, n)) for n in names]
 
 
+def distinct_states(tokens: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row index per distinct (tokens, mask) row state, and each row's
+    state. A masked cell's token does not count; at inference a row's
+    outputs depend on its own state only, so they are computed once per state."""
+    key = np.ascontiguousarray(np.where(mask, -1, tokens), dtype=np.int64)
+    states = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(states, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 class TabMTModel:
     """Per-field embeddings, mask token, encoder stack, tied output heads."""
 
@@ -264,11 +274,13 @@ class TabMTModel:
 
     def embed_rows(self, tokens: np.ndarray,
                    missing: np.ndarray | None = None) -> np.ndarray:
-        """Mean over field positions of the final hidden states.
+        """Mean over field positions of the final hidden states, computed
+        once per distinct row.
 
         Only ``missing`` cells are masked (default: none).
         """
         tokens = np.asarray(tokens)
-        mask = np.zeros(tokens.shape, dtype=bool) if missing is None else missing
+        mask = np.zeros(tokens.shape, dtype=bool) if missing is None else np.asarray(missing)
+        first, inverse = distinct_states(tokens, mask)
         with self.inference():
-            return self._hidden(tokens, mask, None).data.mean(axis=1)
+            return self._hidden(tokens[first], mask[first], None).data.mean(axis=1)[inverse]

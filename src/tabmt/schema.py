@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -119,35 +120,84 @@ def save_schema(schema: TableSchema, path: str):
 
 @dataclass
 class RawTable:
-    """Parsed cell values in schema order; continuous cells are floats."""
+    """Parsed cell values in schema order, one list per field; a cell is a
+    str (categorical), a float (continuous) or MISSING."""
 
     schema: TableSchema
-    cells: list[list]
+    columns: list[list]
+
+    @classmethod
+    def from_rows(cls, schema: TableSchema, rows) -> "RawTable":
+        """A table from rows of cells in schema order."""
+        rows = list(rows)
+        l = schema.n_fields
+        if any(len(row) != l for row in rows):
+            raise SchemaError(f"every row must hold {l} cells")
+        return cls(schema=schema, columns=[list(c) for c in zip(*rows)] if rows and l
+                   else [[] for _ in range(l)])
 
     @property
     def n_rows(self) -> int:
-        return len(self.cells)
+        return len(self.columns[0]) if self.columns else 0
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.cells]
+        return self.columns[j]
+
+    def rows(self) -> list[list]:
+        """The cells row by row, as new lists."""
+        return [list(row) for row in zip(*self.columns)]
+
+
+def _parse_column(raw: list[str], fs: FieldSchema, missing_marker: str) -> list:
+    """One column's cells; a blank or ``missing_marker`` cell is MISSING. A
+    continuous cell that ``float`` rejects raises its ValueError."""
+    blank = "" in raw or (missing_marker != "" and missing_marker in raw)
+    if fs.kind == CONTINUOUS:
+        if not blank:
+            return list(map(float, raw))
+        return [MISSING if v == missing_marker or v == "" else float(v) for v in raw]
+    return [MISSING if v == missing_marker or v == "" else v for v in raw] if blank else raw
 
 
 def parse_cell(raw: str, fs: FieldSchema, missing_marker: str):
-    if raw == missing_marker or raw == "":
-        return MISSING
-    if fs.kind == CONTINUOUS:
+    try:
+        return _parse_column([raw], fs, missing_marker)[0]
+    except ValueError:
+        raise SchemaError(f"non-numeric value {raw!r} in continuous column {fs.name!r}") from None
+
+
+# Rows read and parsed at a time, so a file's raw strings are never all held.
+_CHUNK = 1 << 16
+
+
+def _parse_chunk(path: str, chunk: list[list[str]], width: int, order: list[int],
+                 fields: tuple[FieldSchema, ...], missing_marker: str) -> list[list]:
+    """The chunk's columns in schema order. A short row or a bad cell fails
+    with a SchemaError naming the chunk's first fault in file order."""
+    if not chunk or min(map(len, chunk)) >= width:
         try:
-            return float(raw)
+            return [_parse_column([row[src] for row in chunk], fs, missing_marker)
+                    for src, fs in zip(order, fields)]
         except ValueError:
-            raise SchemaError(f"non-numeric value {raw!r} in continuous column {fs.name!r}")
-    return raw
+            pass
+    # Rescan row by row, as the first fault may lie in a later column.
+    for row in chunk:
+        if len(row) < width:
+            raise SchemaError(f"{path}: short row {row!r}")
+        for src, fs in zip(order, fields):
+            parse_cell(row[src], fs, missing_marker)
+    raise AssertionError("a chunk failed to parse, but no row of it did")
 
 
 def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTable:
     """Read a headered CSV into schema column order.
 
-    Cells equal to ``missing_marker`` (or empty) become MISSING.
+    Cells equal to ``missing_marker`` (or empty) become MISSING. Rows are
+    read and parsed ``_CHUNK`` at a time, one column at a time; a short row
+    or a non-numeric continuous cell raises a SchemaError naming the first
+    in file order.
     """
+    columns = [[] for _ in schema.fields]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,24 +209,29 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
             if f.name not in col_of:
                 raise SchemaError(f"{path}: column {f.name!r} missing from header")
         order = [col_of[f.name] for f in schema.fields]
-        cells = []
-        for row in reader:
-            if len(row) < len(header):
-                raise SchemaError(f"{path}: short row {row!r}")
-            cells.append(
-                [parse_cell(row[src], fs, missing_marker) for src, fs in zip(order, schema.fields)]
-            )
-    return RawTable(schema=schema, cells=cells)
+        while True:
+            chunk, fault = [], None
+            try:
+                # On an error, extend keeps the rows read before it.
+                chunk.extend(itertools.islice(reader, _CHUNK))
+            except (csv.Error, UnicodeDecodeError) as e:
+                fault = e  # raised once the rows before it are checked
+            for col, part in zip(columns, _parse_chunk(path, chunk, len(header), order,
+                                                       schema.fields, missing_marker)):
+                col.extend(part)
+            if fault is not None:
+                raise fault
+            if len(chunk) < _CHUNK:
+                break
+    return RawTable(schema=schema, columns=columns)
 
 
 def write_csv(table: RawTable, path: str, missing_marker: str = ""):
+    columns = [[missing_marker if c is MISSING else c for c in col] for col in table.columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.schema.names)
-        for row in table.cells:
-            writer.writerow(
-                [missing_marker if c is MISSING else c for c in row]
-            )
+        writer.writerows(zip(*columns))
 
 
 def infer_schema(path: str, max_bins: int = 100, missing_marker: str = "",
@@ -235,8 +290,9 @@ def split(table: RawTable, fractions: tuple[float, float, float], seed: int
     parts = []
     start = 0
     for c in counts:
-        part_idx = sorted(idx[start:start + c])
-        parts.append(RawTable(schema=table.schema, cells=[table.cells[i] for i in part_idx]))
+        part_idx = sorted(idx[start:start + c].tolist())
+        parts.append(RawTable(schema=table.schema,
+                              columns=[[col[i] for i in part_idx] for col in table.columns]))
         start += c
     return tuple(parts)
 
@@ -248,11 +304,9 @@ def drop_values(table: RawTable, fraction: float, seed: int) -> RawTable:
     rng = np.random.default_rng(seed)
     n, l = table.n_rows, table.schema.n_fields
     drop = rng.random((n, l)) < fraction
-    cells = [
-        [MISSING if drop[i][j] else table.cells[i][j] for j in range(l)]
-        for i in range(n)
-    ]
-    return RawTable(schema=table.schema, cells=cells)
+    columns = [[MISSING if d else v for v, d in zip(col, drop[:, j].tolist())]
+               for j, col in enumerate(table.columns)]
+    return RawTable(schema=table.schema, columns=columns)
 
 
 @dataclass

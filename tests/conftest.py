@@ -3,20 +3,30 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tabmt import autodiff as ad
 from tabmt.autodiff import Parameter
-from tabmt.codec import CategoricalCodec, ContinuousCodec, fit_categorical
+from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _continuous, _field,
+                         _finite, _kmeans_1d, fit_categorical)
 from tabmt.generation import _field_order, sample_field
 from tabmt.metrics import CLASSIFY, REGRESS, MetricError, _macro_f1, _train_logistic
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.optim import AdamW
-from tabmt.schema import MISSING, TokenTable
+from tabmt.schema import (CONTINUOUS, MISSING, FieldSchema, SchemaError, TableSchema,
+                          TokenTable)
 from tabmt.training import TrainConfig, train
+
+# Every run draws the same hypothesis examples, so a run's result does not
+# depend on its draw, nor on examples a previous run stored.
+settings.register_profile("tabmt", derandomize=True, database=None)
+settings.load_profile("tabmt")
 
 N_TOY = 5000
 TOY_K = 4
@@ -232,6 +242,133 @@ def kmeans_1d_per_column(x: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     # Rounding may move a mean off its run; clipping keeps the centers
     # strictly increasing and inside the column's range.
     return np.clip(means, x[starts], x[ends - 1])
+
+
+# ---- row-wise ingest: the table layer as it was when it stored rows ------
+
+@dataclass
+class RowTable:
+    """``schema.RawTable`` when it stored a list of cells per row."""
+
+    schema: TableSchema
+    cells: list[list]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.cells)
+
+    def column(self, j: int) -> list:
+        return [row[j] for row in self.cells]
+
+
+def parse_cell_rowwise(raw: str, fs: FieldSchema, missing_marker: str):
+    if raw == missing_marker or raw == "":
+        return MISSING
+    if fs.kind == CONTINUOUS:
+        try:
+            return float(raw)
+        except ValueError:
+            raise SchemaError(f"non-numeric value {raw!r} in continuous column {fs.name!r}")
+    return raw
+
+
+def load_csv_rowwise(path: str, schema: TableSchema, missing_marker: str = "") -> RowTable:
+    """Oracle for ``schema.load_csv``: one ``parse_cell`` per cell, row by row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file")
+        col_of = {name: i for i, name in enumerate(header)}
+        for f in schema.fields:
+            if f.name not in col_of:
+                raise SchemaError(f"{path}: column {f.name!r} missing from header")
+        order = [col_of[f.name] for f in schema.fields]
+        cells = []
+        for row in reader:
+            if len(row) < len(header):
+                raise SchemaError(f"{path}: short row {row!r}")
+            cells.append(
+                [parse_cell_rowwise(row[src], fs, missing_marker)
+                 for src, fs in zip(order, schema.fields)]
+            )
+    return RowTable(schema=schema, cells=cells)
+
+
+def write_csv_rowwise(table, path: str, missing_marker: str = ""):
+    """Oracle for ``schema.write_csv``: one ``writerow`` per row of ``table.cells``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(table.schema.names)
+        for row in table.cells:
+            writer.writerow(
+                [missing_marker if c is MISSING else c for c in row]
+            )
+
+
+def fit_codecs_rowwise(table) -> list:
+    """Oracle for ``codec.fit_codecs``: each column's observed cells through
+    generators, the continuous ones quantized by the same batched fit."""
+    codecs, columns = [], []
+    for j, fs in enumerate(table.schema.fields):
+        with _field(fs.name):
+            values = table.column(j)
+            if fs.kind == CONTINUOUS:
+                xs = _finite([v for v in values if v is not MISSING])
+                if xs.size == 0:
+                    raise CodecError("cannot fit a codec on an empty column")
+                distinct, counts = np.unique(xs, return_counts=True)
+                columns.append((distinct, counts.astype(np.float64),
+                                min(int(fs.max_bins), len(distinct))))
+                codecs.append(None)
+                continue
+            seen = tuple(dict.fromkeys(v for v in values if v is not MISSING))
+            if not seen:
+                raise CodecError("cannot fit a codec on an empty column")
+            codecs.append(codec := CategoricalCodec(values=seen))
+            if fs.declared_cardinality is not None and codec.cardinality > fs.declared_cardinality:
+                raise CodecError(f"{codec.cardinality} distinct values observed, "
+                                 f"{fs.declared_cardinality} declared")
+    centers = iter(_kmeans_1d(columns) if columns else [])
+    return [_continuous(next(centers)) if c is None else c for c in codecs]
+
+
+def observed_cells_rowwise(table, j: int, codec) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``codec.observed_cells``."""
+    col = table.column(j)
+    observed = np.array([v is not MISSING for v in col], dtype=bool)
+    cells = [v for v in col if v is not MISSING]
+    with _field(table.schema.fields[j].name):
+        if isinstance(codec, CategoricalCodec):
+            return observed, codec.encode_column(cells)
+        return observed, _finite(cells)
+
+
+def encode_table_rowwise(table, codecs: list) -> TokenTable:
+    """Oracle for ``codec.encode_table``."""
+    n, l = table.n_rows, len(codecs)
+    tokens = np.empty((n, l), dtype=np.int64)
+    missing = np.empty((n, l), dtype=bool)
+    for j, codec in enumerate(codecs):
+        seen, cells = observed_cells_rowwise(table, j, codec)
+        missing[:, j] = ~seen
+        tokens[:, j] = codec.cardinality
+        tokens[seen, j] = cells if isinstance(codec, CategoricalCodec) else codec.encode_column(cells)
+    return TokenTable(schema=table.schema, tokens=tokens, missing=missing, source=table)
+
+
+def decode_table_rowwise(table: TokenTable, codecs: list) -> RowTable:
+    """Oracle for ``codec.decode_table``."""
+    src = table.source
+    cols = []
+    for j, codec in enumerate(codecs):
+        miss = table.missing[:, j]
+        decoded = codec.decode_column(np.where(miss, 0, table.tokens[:, j]))
+        parsed = src.column(j) if src is not None else [MISSING] * table.n_rows
+        cols.append([p if p is not MISSING else MISSING if m else d
+                     for p, m, d in zip(parsed, miss.tolist(), decoded)])
+    return RowTable(schema=table.schema, cells=[list(row) for row in zip(*cols)])
 
 
 def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
@@ -640,13 +777,55 @@ def linear_oracle(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
+def cross_entropy_sum_oracle(logits, targets, active):
+    """``ad.cross_entropy_sum`` with each row's maximum from ``ndarray.max``."""
+    logits = ad._as_tensor(logits)
+    targets = np.asarray(targets)
+    active = np.asarray(active, dtype=bool)
+    n, k = logits.data.shape
+    z = logits.data
+    zmax = z.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    safe_t = np.where(active, targets, 0)
+    losses = lse - z[np.arange(n), safe_t]
+    count = int(active.sum())
+    out_data = np.asarray(losses[active].sum(), dtype=z.dtype)
+
+    def backward(g):
+        p = np.exp(z - zmax)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(n), safe_t] -= 1.0
+        p[~active] = 0.0
+        accum_copying(logits, g * p)
+
+    return ad._make(out_data, (logits,), backward), count
+
+
+def sample_field_oracle(logits: np.ndarray, tau_u: float, rng: np.random.Generator
+                        ) -> np.ndarray:
+    """``generation.sample_field`` with each row's maximum from ``ndarray.max``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    if tau_u < 1e-6:
+        return np.argmax(logits, axis=-1)
+    z = logits / tau_u
+    z -= z.max(axis=-1, keepdims=True)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(p, axis=-1)
+    u = rng.random((logits.shape[0], 1))
+    return np.minimum((u >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
+
+
 @contextlib.contextmanager
 def oracle_kernels():
     """Run the autodiff ops inside the block as they were before the
-    row-blocked kernels, ``ad.linear`` and the copy-free ``_accum``."""
+    row-blocked kernels, ``ad.linear``, ``ad.row_max`` and the copy-free
+    ``_accum``."""
     patches = {"softmax": softmax_oracle, "gelu": gelu_oracle,
                "layer_norm": layer_norm_oracle, "linear": linear_oracle,
-               "_accum": accum_copying}
+               "cross_entropy_sum": cross_entropy_sum_oracle, "_accum": accum_copying}
     saved = {name: getattr(ad, name) for name in patches}
     for name, fn in patches.items():
         setattr(ad, name, fn)

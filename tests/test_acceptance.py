@@ -382,7 +382,7 @@ def test_criterion_11_flow_invariant_fixtures(big_toy_models):
     gen_records = [
         flow(protocol=proto_map[row[0]],
              flags="...A..S." if proto_map[row[0]] == "TCP" else "........")
-        for row in decoded.cells
+        for row in decoded.rows()
     ]
     vocab = {"protocol": {proto_map[v] for v in model.codecs[0].values}}
     gen_report = check_invariants(gen_records, vocab=vocab)

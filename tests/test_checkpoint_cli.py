@@ -565,8 +565,7 @@ class TestConditionWrittenAsGiven:
         tokens = generate(model, spec)
         tokens.schema = schema
         table = decode_table(tokens, model.codecs)
-        for row in table.cells:
-            row[0] = 0.3
+        table.columns[0] = [0.3] * table.n_rows
         want = tmp_path / "want.csv"
         write_csv(table, str(want))
         assert out.read_bytes() == want.read_bytes()

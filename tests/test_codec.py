@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import dp_kmeans_1d, lloyd_1d
 from tabmt.codec import (
     CodecError,
+    _continuous,
     decode_table,
     encode_table,
     fit_categorical,
@@ -26,7 +27,7 @@ def encode_values(codec, xs):
     """Tokens of ``xs`` through ``encode_table``, as a one-column table."""
     schema = TableSchema(fields=(
         FieldSchema(name="x", kind=CONTINUOUS, max_bins=codec.cardinality),))
-    table = RawTable(schema=schema, cells=[[x] for x in xs])
+    table = RawTable.from_rows(schema, [[x] for x in xs])
     return encode_table(table, [codec]).tokens[:, 0]
 
 
@@ -163,6 +164,31 @@ class TestContinuousEncodeDecode:
         with pytest.raises(CodecError):
             self.make().decode(3)
 
+    @pytest.mark.parametrize("centers", [
+        [0.0, 1.0, 2.0, 3.0],
+        [1e15, 1e15 + 0.5, 1e15 + 1.0, 1e15 + 3.0],
+        [-2.0, -1e-300, 0.0, 5e-324, 1e-300],
+        [-1e300, -1.0, 1.0, 1e300],
+        [7.0],
+    ])
+    def test_encode_column_takes_first_least_distance(self, centers):
+        # Far from the centers, rounding ties runs of them; the first wins.
+        probes = list(centers) + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
+        probes += [s * 10.0 ** e for e in range(-300, 300, 7) for s in (1, -1)]
+        probes += [np.nextafter(x, d) for x in list(probes) for d in (-np.inf, np.inf)]
+        codec = _continuous(np.array(centers))
+        want = [min(range(len(centers)), key=lambda t: abs(x - centers[t])) for x in probes]
+        assert codec.encode_column(probes).tolist() == want
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8, unique=True),
+           st.lists(st.floats(-1e300, 1e300), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_encode_column_random(self, centers, probes):
+        centers = sorted(centers)
+        codec = _continuous(np.array(centers))
+        want = [min(range(len(centers)), key=lambda t: abs(x - centers[t])) for x in probes]
+        assert codec.encode_column(probes).tolist() == want
+
     @given(st.floats(-50, 50))
     @settings(max_examples=50, deadline=None)
     def test_encode_decode_nearest(self, x):
@@ -197,15 +223,15 @@ class TestTableRoundTrip:
             FieldSchema(name="c", kind=CATEGORICAL),
             FieldSchema(name="x", kind=CONTINUOUS, max_bins=10),
         ))
-        table = RawTable(schema=schema, cells=[["a", 1.0], ["b", 2.0], ["a", 3.0]])
+        table = RawTable.from_rows(schema, [["a", 1.0], ["b", 2.0], ["a", 3.0]])
         codecs = [fit_categorical(table.column(0)), fit_continuous(table.column(1), 10)]
         tokens = encode_table(table, codecs)
         back = decode_table(tokens, codecs)
-        assert back.cells == table.cells
+        assert back.rows() == table.rows()
 
     def test_missing_cells_use_sentinel(self):
         schema = TableSchema(fields=(FieldSchema(name="c", kind=CATEGORICAL),))
-        table = RawTable(schema=schema, cells=[["a"], [MISSING], ["b"]])
+        table = RawTable.from_rows(schema, [["a"], [MISSING], ["b"]])
         codecs = [fit_categorical(table.column(0))]
         tokens = encode_table(table, codecs)
         assert tokens.missing[1, 0]
@@ -229,7 +255,7 @@ class TestTableRoundTrip:
         cats = ["p", "q", "r"]
         cells = [[cats[i % 3], x, probe_z[i % 5]] for i, x in enumerate(probe_x)]
         cells += [[MISSING, 1.0, 2.5], ["q", MISSING, MISSING], [MISSING, MISSING, 0.0]]
-        table = RawTable(schema=schema, cells=cells)
+        table = RawTable.from_rows(schema, cells)
         codecs = [fit_categorical(cats), fitted, fit_continuous([0.0, 5.0, 10.0], 3)]
         out = encode_table(table, codecs)
 
@@ -254,7 +280,7 @@ class TestTableRoundTrip:
             FieldSchema(name="c", kind=CATEGORICAL),
             FieldSchema(name="x", kind=CONTINUOUS, max_bins=4),
         ))
-        table = RawTable(schema=schema, cells=[["a", 1.0], bad])
+        table = RawTable.from_rows(schema, [["a", 1.0], bad])
         codecs = [fit_categorical(["a", "b"]), fit_continuous([0.0, 1.0, 2.0], 4)]
         field = "'c'" if bad[0] == "unseen" else "'x'"
         with pytest.raises(CodecError, match=f"^field {field}: "):
@@ -265,7 +291,7 @@ class TestTableRoundTrip:
             FieldSchema(name="c", kind=CATEGORICAL),
             FieldSchema(name="x", kind=CONTINUOUS, max_bins=4),
         ))
-        table = RawTable(schema=schema, cells=[["b", MISSING], [MISSING, 0.123], ["a", -7.5]])
+        table = RawTable.from_rows(schema, [["b", MISSING], [MISSING, 0.123], ["a", -7.5]])
         codecs = [fit_categorical(["a", "b"]), fit_continuous([0.0, 1.0, 2.0], 4)]
         observed, tokens = observed_cells(table, 0, codecs[0])
         assert observed.tolist() == [True, False, True] and tokens.tolist() == [1, 0]

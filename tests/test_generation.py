@@ -312,19 +312,19 @@ class TestImputeKeepsObservedCells:
             FieldSchema(name="y", kind=CATEGORICAL),
         ))
         rng = np.random.default_rng(0)
-        train = RawTable(schema=schema, cells=[[float(v), "pos" if v > 0 else "neg"]
+        train = RawTable.from_rows(schema, [[float(v), "pos" if v > 0 else "neg"]
                                                for v in rng.normal(size=300)])
         codecs = [fit_continuous(train.column(0), 8), fit_categorical(train.column(1))]
         assert not {0.123456789, -1.5e-07} & set(codecs[0].centers.tolist())
         model = TabMTModel(codecs, ModelConfig(width=16, depth=1, heads=2), seed=0)
-        sparse = RawTable(schema=schema, cells=[[0.123456789, MISSING],
+        sparse = RawTable.from_rows(schema, [[0.123456789, MISSING],
                                                 [MISSING, "pos"],
                                                 [-1.5e-07, "neg"]])
         filled = impute(model, encode_table(sparse, codecs), seed=1)
         out = decode_table(filled, codecs)
-        assert out.cells[0][0] == 0.123456789 and out.cells[0][1] in ("neg", "pos")
-        assert out.cells[1][0] in codecs[0].centers.tolist() and out.cells[1][1] == "pos"
-        assert out.cells[2] == [-1.5e-07, "neg"]
+        assert out.rows()[0][0] == 0.123456789 and out.rows()[0][1] in ("neg", "pos")
+        assert out.rows()[1][0] in codecs[0].centers.tolist() and out.rows()[1][1] == "pos"
+        assert out.rows()[2] == [-1.5e-07, "neg"]
 
 
 class TestOrderDistribution:

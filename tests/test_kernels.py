@@ -1,5 +1,6 @@
-"""The row-blocked softmax, GELU and layer norm, ``ad.linear`` and the
-copy-free ``_accum`` give the bits of the kernels they replaced."""
+"""The row-blocked softmax, GELU and layer norm, ``ad.linear``, the
+column-loop ``ad.row_max`` and the copy-free ``_accum`` give the bits of
+the kernels they replaced."""
 
 import tracemalloc
 
@@ -8,15 +9,18 @@ import pytest
 
 from conftest import (
     accum_copying,
+    cross_entropy_sum_oracle,
     gelu_oracle,
     layer_norm_oracle,
     linear_oracle,
     oracle_kernels,
+    sample_field_oracle,
     softmax_oracle,
 )
 from tabmt import autodiff as ad
 from tabmt.autodiff import Parameter, Tensor
 from tabmt.codec import fit_categorical, fit_continuous
+from tabmt.generation import sample_field
 from tabmt.model import ModelConfig, TabMTModel
 from tabmt.training import training_step
 
@@ -71,6 +75,48 @@ def test_kernel_matches_oracle(name, shape, dtype):
         assert_same(g, want)
     with ad.no_grad():
         assert_same(new(Tensor(x), *[Tensor(e) for e in extra]).data, want_out)
+
+
+def max_inputs(n, d, dtype, seed):
+    """Small integers, so maxima repeat, with -inf cells, an all -inf row
+    and zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-3, 4, (n, d)).astype(dtype)
+    x[rng.random((n, d)) < 0.2] = -np.inf
+    x[0] = -np.inf
+    x[x == 0] *= np.where(rng.random(int((x == 0).sum())) < 0.5, 1, -1).astype(dtype)
+    return x
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("d", list(range(1, 41)) + [1000])
+def test_row_max_matches_reduce(d, dtype):
+    for n in (1, 3, 8 * d - 1, 8 * d, 300):
+        x = max_inputs(n, d, dtype, seed=d + n)
+        got, want = ad.row_max(x), np.maximum.reduce(x, axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        strided = ad.row_max(x[:, ::-1])  # a view, as a row block may be
+        assert np.array_equal(strided, want)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("n, k", [(1, 2), (300, 2), (500, 4), (4097, 16), (64, 33), (40, 1000)])
+def test_cross_entropy_and_sampling_match_oracles(n, k, dtype):
+    rng = np.random.default_rng(n + k)
+    logits = (rng.standard_normal((n, k)) * 4).astype(dtype)
+    targets = rng.integers(0, k, n)
+    active = rng.random(n) < 0.8
+    upstream = np.asarray(0.7, dtype=dtype)
+    out, (grad,) = run_op(lambda t: ad.cross_entropy_sum(t, targets, active)[0],
+                          logits, [], upstream)
+    want, (want_grad,) = run_op(lambda t: cross_entropy_sum_oracle(t, targets, active)[0],
+                                logits, [], upstream)
+    assert out.tobytes() == want.tobytes() and grad.tobytes() == want_grad.tobytes()
+    for tau in (0.0, 0.3, 1.0, 2.5):
+        got = sample_field(logits, tau, np.random.default_rng(7))
+        want = sample_field_oracle(logits, tau, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -85,7 +85,7 @@ def mixed_table(max_bins, seed=5, n=3000):
     cells = [list(row) for row in zip(*cols)]
     for i in range(0, n, 7):
         cells[i][i % 5] = MISSING
-    return RawTable(schema=TableSchema(fields=fields), cells=cells)
+    return RawTable.from_rows(TableSchema(fields=fields), cells)
 
 
 class TestFitCodecs:
@@ -103,7 +103,7 @@ class TestFitCodecs:
 
     def test_no_continuous_field(self):
         schema = TableSchema(fields=(FieldSchema(name="k", kind=CATEGORICAL),))
-        codecs = fit_codecs(RawTable(schema=schema, cells=[["x"], ["y"]]))
+        codecs = fit_codecs(RawTable.from_rows(schema, [["x"], ["y"]]))
         assert codecs[0].values == ("x", "y")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -112,19 +112,19 @@ class TestFitCodecs:
             fit_continuous([1.0, 2.0, bad, 3.0, 5.0], 3)
         schema = TableSchema(fields=(FieldSchema(name="k", kind=CATEGORICAL),
                                      FieldSchema(name="price", kind=CONTINUOUS, max_bins=3)))
-        table = RawTable(schema=schema, cells=[["a", 1.0], ["b", bad], ["a", 3.0]])
+        table = RawTable.from_rows(schema, [["a", 1.0], ["b", bad], ["a", 3.0]])
         with pytest.raises(CodecError, match="'price'.*non-finite"):
             fit_codecs(table)
 
     def test_more_values_than_declared_fails(self):
         schema = TableSchema(fields=(
             FieldSchema(name="colour", kind=CATEGORICAL, declared_cardinality=2),))
-        table = RawTable(schema=schema, cells=[["red"], ["green"], [MISSING], ["blue"]])
+        table = RawTable.from_rows(schema, [["red"], ["green"], [MISSING], ["blue"]])
         with pytest.raises(CodecError, match=r"'colour'.*3 distinct values observed, 2 declared"):
             fit_codecs(table)
 
     def test_fewer_values_than_declared_is_legal(self):
         schema = TableSchema(fields=(
             FieldSchema(name="colour", kind=CATEGORICAL, declared_cardinality=5),))
-        table = RawTable(schema=schema, cells=[["red"], ["green"], ["red"]])
+        table = RawTable.from_rows(schema, [["red"], ["green"], ["red"]])
         assert fit_codecs(table)[0].cardinality == 2

@@ -42,7 +42,7 @@ def toy_space():
         FieldSchema(name="x", kind=CONTINUOUS, max_bins=10),
         FieldSchema(name="c", kind=CATEGORICAL),
     ))
-    train = RawTable(schema=schema, cells=[[0.0, "a"], [5.0, "b"], [10.0, "a"]])
+    train = RawTable.from_rows(schema, [[0.0, "a"], [5.0, "b"], [10.0, "a"]])
     codecs = [fit_continuous(train.column(0), 10), fit_categorical(train.column(1))]
     return train, MetricSpace.fit(train, codecs)
 
@@ -468,16 +468,16 @@ def mixed_tables(seed, n_train=120, n_test=60, blank=0.15):
             row = [x, str(rng.choice(["a", "b", "c"])), 2.5,
                    "pos" if x + rng.normal(0, 0.5) > 0 else "neg", 3 * x + float(rng.normal())]
             cells.append([MISSING if rng.random() < blank else v for v in row])
-        return RawTable(schema=schema, cells=cells)
+        return RawTable.from_rows(schema, cells)
 
     train, test = make(n_train), make(n_test)
     return train, test, MetricSpace.fit(train, fit_codecs(train))
 
 
 def with_cell(table, i, j, value):
-    cells = [list(row) for row in table.cells]
+    cells = [list(row) for row in table.rows()]
     cells[i][j] = value
-    return RawTable(schema=table.schema, cells=cells)
+    return RawTable.from_rows(table.schema, cells)
 
 
 class TestMatchesLookup:
@@ -513,7 +513,7 @@ class TestMatchesLookup:
     def test_features_random_cells(self, rows):
         train, space = toy_space()
         cells = [[MISSING if x is None else x, MISSING if c is None else c] for x, c in rows]
-        table = RawTable(schema=train.schema, cells=cells)
+        table = RawTable.from_rows(train.schema, cells)
         if any(x is not None for x, _ in rows):  # bounds from the random cells themselves
             space = MetricSpace.fit(table, space.codecs)
         got = space.transform(table)
@@ -560,7 +560,7 @@ class TestMleProxy:
         ys = ["neg"] * (n // 2) + ["pos"] * (n // 2)
         cells = [[float(x), y] for x, y in zip(xs, ys)]
         rng.shuffle(cells)
-        table = RawTable(schema=schema, cells=cells)
+        table = RawTable.from_rows(schema, cells)
         codecs = [fit_continuous(table.column(0), 50), fit_categorical(table.column(1))]
         return table, MetricSpace.fit(table, codecs)
 
@@ -579,13 +579,13 @@ class TestMleProxy:
         table, space = self.make_separable()
         test_table, _ = self.make_separable(seed=99)
         base = mle_proxy(table, test_table, space, 1, "classify")
-        labels = [r[1] for r in table.cells]
+        labels = [r[1] for r in table.rows()]
         scores = []
         for s in range(10):
             rng = np.random.default_rng(s)
             cells = [[row[0], y] for row, y in
-                     zip(table.cells, rng.permutation(labels))]
-            shuffled = RawTable(schema=table.schema, cells=cells)
+                     zip(table.rows(), rng.permutation(labels))]
+            shuffled = RawTable.from_rows(table.schema, cells)
             scores.append(mle_proxy(shuffled, test_table, space, 1, "classify"))
         assert base - np.mean(scores) > 0.1
 
@@ -600,7 +600,7 @@ class TestMleProxy:
             r = np.random.default_rng(seed)
             cells = [[float(a), float(b)] for a, b in
                      zip(r.normal(size=300), r.normal(size=300))]
-            return RawTable(schema=schema, cells=cells)
+            return RawTable.from_rows(schema, cells)
 
         train_t = make(1)
         codecs = [fit_continuous(train_t.column(0), 50),
@@ -613,10 +613,10 @@ class TestMleProxy:
     def blank_targets(table, every):
         """The table with every ``every``-th target blank, and without those rows."""
         blanked = [[row[0], MISSING] if i % every == 0 else row
-                   for i, row in enumerate(table.cells)]
-        kept = [row for i, row in enumerate(table.cells) if i % every]
-        return (RawTable(schema=table.schema, cells=blanked),
-                RawTable(schema=table.schema, cells=kept))
+                   for i, row in enumerate(table.rows())]
+        kept = [row for i, row in enumerate(table.rows()) if i % every]
+        return (RawTable.from_rows(table.schema, blanked),
+                RawTable.from_rows(table.schema, kept))
 
     def test_blank_targets_dropped_classify(self):
         table, space = self.make_separable()
@@ -629,11 +629,11 @@ class TestMleProxy:
 
     def test_blank_targets_dropped_regress(self):
         table, space = self.make_separable()
-        cells = [[x, 2.0 * x + 1.0] for x, _ in table.cells]
-        reg = RawTable(schema=TableSchema(fields=(
+        cells = [[x, 2.0 * x + 1.0] for x, _ in table.rows()]
+        reg = RawTable.from_rows(TableSchema(fields=(
             FieldSchema(name="x", kind=CONTINUOUS, max_bins=50),
             FieldSchema(name="t", kind=CONTINUOUS, max_bins=50),
-        ), target_index=1), cells=cells)
+        ), target_index=1), cells)
         codecs = [space.codecs[0], fit_continuous(reg.column(1), 50)]
         reg_space = MetricSpace.fit(reg, codecs)
         train_b, train_k = self.blank_targets(reg, 3)
@@ -650,19 +650,19 @@ class TestMleProxy:
 
     def test_single_class_errors(self):
         table, space = self.make_separable()
-        cells = [[row[0], "pos"] for row in table.cells]
-        degenerate = RawTable(schema=table.schema, cells=cells)
+        cells = [[row[0], "pos"] for row in table.rows()]
+        degenerate = RawTable.from_rows(table.schema, cells)
         with pytest.raises(MetricError):
             mle_proxy(degenerate, table, space, 1, "classify")
 
     def test_same_score_as_taped_fit(self, monkeypatch):
         table, space = self.make_separable()
         test_table, _ = self.make_separable(seed=99)
-        cells = [[x, 2.0 * x + 1.0] for x, _ in table.cells]
-        reg = RawTable(schema=TableSchema(fields=(
+        cells = [[x, 2.0 * x + 1.0] for x, _ in table.rows()]
+        reg = RawTable.from_rows(TableSchema(fields=(
             FieldSchema(name="x", kind=CONTINUOUS, max_bins=50),
             FieldSchema(name="t", kind=CONTINUOUS, max_bins=50),
-        ), target_index=1), cells=cells)
+        ), target_index=1), cells)
         reg_space = MetricSpace.fit(reg, [space.codecs[0], fit_continuous(reg.column(1), 50)])
 
         def scores():

@@ -379,3 +379,27 @@ class TestMatchesPerFieldHidden:
         tokens[5, lo] = 0
         new, old = both(error)
         assert new == old == f"token out of range at unmasked position, field {l - 1}"
+
+
+class TestEmbedRowsOncePerDistinctRow:
+    """``embed_rows`` runs the encoder once per distinct row state and copies
+    each state's embedding to its rows, bit for bit what a full batch gives."""
+
+    @pytest.mark.parametrize("l, dtype", MIXED_CASES)
+    def test_matches_full_batch(self, l, dtype):
+        model, tokens, missing, _ = mixed_case(l, 60 + l, dtype)
+        m = model()
+        rng = np.random.default_rng(l)
+        rows = rng.integers(0, len(tokens), 3 * len(tokens))
+        tokens, missing = tokens[rows], missing[rows]
+        # A blank cell's token is never read, so it does not split a state.
+        tokens[missing] = rng.integers(-3, 1000, int(missing.sum()))
+        with m.inference():
+            want = m._hidden(tokens, missing, None).data.mean(axis=1)
+        calls = []
+        hidden = m._hidden
+        m._hidden = lambda t, mask, rng: calls.append(len(t)) or hidden(t, mask, rng)
+        got = m.embed_rows(tokens, missing)
+        assert calls == [len(np.unique(np.where(missing, -1, tokens), axis=0))]
+        assert calls[0] < len(tokens)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

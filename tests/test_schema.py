@@ -62,15 +62,15 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("x,label\n1.0,a\n,b\n3.0,c\n")
         table = load_csv(str(p), make_schema())
-        flat = [c for row in table.cells for c in row]
+        flat = [c for row in table.rows() for c in row]
         assert sum(1 for c in flat if c is MISSING) == 1
-        assert table.cells[1][0] is MISSING
+        assert table.rows()[1][0] is MISSING
 
     def test_shuffled_columns_reordered(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("label,x\na,1.0\nb,2.0\n")
         table = load_csv(str(p), make_schema())
-        assert table.cells[0] == [1.0, "a"]
+        assert table.rows()[0] == [1.0, "a"]
 
     def test_non_numeric_in_continuous_errors(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -88,16 +88,16 @@ class TestLoadCsv:
         p = tmp_path / "t.csv"
         p.write_text("x,label\nNA,a\n")
         table = load_csv(str(p), make_schema(), missing_marker="NA")
-        assert table.cells[0][0] is MISSING
+        assert table.rows()[0][0] is MISSING
 
     def test_write_roundtrip(self, tmp_path):
         schema = make_schema()
-        table = RawTable(schema=schema, cells=[[1.5, "a"], [MISSING, "b"]])
+        table = RawTable.from_rows(schema, [[1.5, "a"], [MISSING, "b"]])
         out = tmp_path / "out.csv"
         write_csv(table, str(out))
         back = load_csv(str(out), schema)
-        assert back.cells[0] == [1.5, "a"]
-        assert back.cells[1][0] is MISSING
+        assert back.rows()[0] == [1.5, "a"]
+        assert back.rows()[1][0] is MISSING
 
 
 class TestInferSchema:
@@ -113,7 +113,7 @@ class TestInferSchema:
 class TestSplit:
     def make_table(self, n):
         schema = make_schema()
-        return RawTable(schema=schema, cells=[[float(i), f"v{i}"] for i in range(n)])
+        return RawTable.from_rows(schema, [[float(i), f"v{i}"] for i in range(n)])
 
     def test_exact_sizes(self):
         parts = split(self.make_table(100), (0.8, 0.1, 0.1), seed=7)
@@ -123,13 +123,13 @@ class TestSplit:
         t = self.make_table(50)
         a = split(t, (0.6, 0.2, 0.2), seed=3)
         b = split(t, (0.6, 0.2, 0.2), seed=3)
-        assert [p.cells for p in a] == [p.cells for p in b]
+        assert [p.rows() for p in a] == [p.rows() for p in b]
 
     def test_partition_property(self):
         t = self.make_table(37)
         parts = split(t, (0.5, 0.25, 0.25), seed=11)
-        seen = [row[1] for p in parts for row in p.cells]
-        assert sorted(seen) == sorted(row[1] for row in t.cells)
+        seen = [row[1] for p in parts for row in p.rows()]
+        assert sorted(seen) == sorted(row[1] for row in t.rows())
         assert sum(p.n_rows for p in parts) == 37
 
     def test_infeasible_partition_errors(self):
@@ -145,35 +145,35 @@ class TestDropValues:
     def make_table(self, n=1000, l=10):
         fields = tuple(FieldSchema(name=f"c{j}", kind=CATEGORICAL) for j in range(l))
         schema = TableSchema(fields=fields)
-        return RawTable(schema=schema, cells=[["v"] * l for _ in range(n)])
+        return RawTable.from_rows(schema, [["v"] * l for _ in range(n)])
 
     def test_zero_fraction_noop(self):
         t = self.make_table(20, 3)
         out = drop_values(t, 0.0, seed=1)
-        assert out.cells == t.cells
+        assert out.rows() == t.rows()
 
     def test_full_fraction_all_missing(self):
         out = drop_values(self.make_table(10, 3), 1.0, seed=1)
-        assert all(c is MISSING for row in out.cells for c in row)
+        assert all(c is MISSING for row in out.rows() for c in row)
 
     def test_quarter_fraction_concentration(self):
         # Binomial(10000, 0.25): mean 2500, sigma = sqrt(10000*0.25*0.75) ~ 43.3
         out = drop_values(self.make_table(1000, 10), 0.25, seed=5)
-        n_missing = sum(1 for row in out.cells for c in row if c is MISSING)
+        n_missing = sum(1 for row in out.rows() for c in row if c is MISSING)
         assert abs(n_missing - 2500) <= 130
 
     def test_two_seeds_similar_fraction(self):
         a = drop_values(self.make_table(1000, 10), 0.25, seed=1)
         b = drop_values(self.make_table(1000, 10), 0.25, seed=2)
-        ca = sum(1 for row in a.cells for c in row if c is MISSING)
-        cb = sum(1 for row in b.cells for c in row if c is MISSING)
+        ca = sum(1 for row in a.rows() for c in row if c is MISSING)
+        cb = sum(1 for row in b.rows() for c in row if c is MISSING)
         assert abs(ca - cb) <= 2 * 130
 
     def test_already_missing_stays_missing(self):
         t = self.make_table(5, 2)
-        t.cells[0][0] = MISSING
+        t.columns[0][0] = MISSING
         out = drop_values(t, 0.0, seed=1)
-        assert out.cells[0][0] is MISSING
+        assert out.rows()[0][0] is MISSING
 
     def test_bad_fraction_errors(self):
         with pytest.raises(ValueError):
