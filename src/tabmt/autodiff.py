@@ -3,16 +3,28 @@
 Only the operations the masked-transformer model needs are implemented:
 matmul (2-D and batched), a fused linear layer, broadcast add/multiply,
 softmax, layer norm, GELU, sigmoid, dropout/drop-path, embedding lookup,
-stack/select and a fused masked cross entropy. Tapes are dynamic: every
-op records a backward closure on the output tensor and ``Tensor.backward``
-walks the graph in reverse topological order. Inside ``no_grad()`` ops
-record no tape, so inference keeps no parents or closures alive.
+stack/select and a fused masked cross entropy. Tapes are dynamic: an op
+whose input requires grad gives its output a ``Node`` beside ``.data``,
+and ``Tensor.backward`` walks the nodes in reverse topological order.
+Inside ``no_grad()`` ops record no tape, so inference keeps nothing alive.
+
+A node holds a gradient slot, its parents' nodes and a backward closure.
+The closure keeps the parents' shapes and exactly the arrays it reads,
+never a parent tensor: the inputs of mul, matmul and linear (each only
+where the other input needs a gradient), the outputs of softmax, sigmoid
+and reciprocal, GELU's input and tanh, layer norm's xhat, inverse
+deviation and gain, and cross entropy's logits. So an output that only
+add, scale, reshape, transpose, stack, select or a layer norm reads is
+freed during the forward. ``backward`` releases each node as soon as its
+closure has run: the closure, the parent links and, unless the node is a
+leaf, its gradient. A graph can therefore be walked once; a second
+``backward`` through it raises. Parameters keep their gradient.
 
 Softmax, GELU and layer norm work through row blocks of 2^16 elements,
 so their temporaries stay in cache, and write each block into a
 preallocated output. They apply the unblocked formulas in the same order
 to each row, and every reduction runs along one row, so the bits do not
-depend on the block size. The first gradient a tensor receives is kept
+depend on the block size. The first gradient a node receives is kept
 without a copy when it is C-contiguous; other views are copied, because
 their layout would change the order of a later sum.
 
@@ -27,17 +39,44 @@ import math
 import numpy as np
 
 
-class Tensor:
-    """A dense array plus an optional gradient tape node."""
+class Node:
+    """A tape entry beside a tensor's data: its gradient slot, the nodes its
+    gradient flows back to, and the closure that sends it there. A leaf
+    (a parameter) has no closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = np.asarray(data)
+    def __init__(self, parents=(), backward=None):
         self.grad = None
+        self.parents = parents
+        self.backward = backward
+
+
+def _walked(g):
+    """The closure a node holds once backward has run it."""
+    raise RuntimeError("backward() already walked this graph; "
+                       "run the forward again to get a new one")
+
+
+class Tensor:
+    """A dense array plus, when it requires grad, a tape node."""
+
+    __slots__ = ("data", "requires_grad", "node")
+
+    def __init__(self, data, requires_grad=False, node=None):
+        self.data = np.asarray(data)
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self.node = Node() if requires_grad and node is None else node
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is None:
+            self.node = Node()
+        self.node.grad = g
 
     @property
     def shape(self):
@@ -51,12 +90,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate gradients of this scalar into every upstream tensor."""
+        """Accumulate gradients of this scalar into every upstream leaf.
+
+        Each node is released once its closure has run; a graph can be
+        walked once."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        topo: list[Tensor] = []
+        if self.node is None:
+            self.node = Node()
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -64,15 +108,19 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.backward is _walked:
+                _walked(None)  # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad:
-                    stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+            stack.extend((p, False) for p in node.parents)
+        self.node.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            fn = node.backward
+            if fn is None:
+                continue  # a leaf keeps its gradient
+            g, node.grad = node.grad, None
+            node.backward, node.parents = _walked, ()
+            fn(g)
 
 
 class Parameter(Tensor):
@@ -86,14 +134,18 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _accum(t: Tensor, g: np.ndarray):
+def _node(t: Tensor) -> Node | None:
+    return t.node if t.requires_grad else None
+
+
+def _accum(node: Node, g: np.ndarray):
     # No op mutates a gradient in place, so a C-contiguous view can be kept.
     # Any other view is copied: its layout would change the order in which
     # a later ``_unbroadcast`` sums it.
-    if t.grad is None:
-        t.grad = g if (g.base is None or g.flags.c_contiguous) else g.copy()
+    if node.grad is None:
+        node.grad = g if (g.base is None or g.flags.c_contiguous) else g.copy()
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -122,20 +174,24 @@ def no_grad():
 
 
 def _make(data, parents, backward):
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+    """The op's output; on the tape when grad is on and a parent requires grad.
+    ``backward`` holds parent nodes and the arrays it reads, never a parent."""
+    nodes = tuple(p.node for p in parents if p.requires_grad) if _grad_enabled else ()
+    if not nodes:
         return Tensor(data)
-    return Tensor(data, requires_grad=True, parents=tuple(parents), backward=backward)
+    return Tensor(data, requires_grad=True, node=Node(nodes, backward))
 
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data + b.data
+    na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accum(na, _unbroadcast(g, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, sb))
 
     return _make(out_data, (a, b), backward)
 
@@ -143,12 +199,16 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = a.data * b.data
+    na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
+    # Each input is read only for the other's gradient.
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accum(na, _unbroadcast(g * xb, sa))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g * xa, sb))
 
     return _make(out_data, (a, b), backward)
 
@@ -156,9 +216,10 @@ def mul(a, b) -> Tensor:
 def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data * c
+    na = a.node
 
     def backward(g):
-        _accum(a, g * c)
+        _accum(na, g * c)
 
     return _make(out_data, (a,), backward)
 
@@ -166,9 +227,10 @@ def scale(a, c: float) -> Tensor:
 def reciprocal(a) -> Tensor:
     a = _as_tensor(a)
     out_data = 1.0 / a.data
+    na = a.node
 
     def backward(g):
-        _accum(a, -g * out_data * out_data)
+        _accum(na, -g * out_data * out_data)
 
     return _make(out_data, (a,), backward)
 
@@ -176,14 +238,17 @@ def reciprocal(a) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out_data = np.matmul(a.data, b.data)
+    na, nb, sa, sb = _node(a), _node(b), a.data.shape, b.data.shape
+    xa = a.data if nb is not None else None
+    xb = b.data if na is not None else None
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
+        if na is not None:
+            ga = np.matmul(g, np.swapaxes(xb, -1, -2))
+            _accum(na, _unbroadcast(ga, sa))
+        if nb is not None:
+            gb = np.matmul(np.swapaxes(xa, -1, -2), g)
+            _accum(nb, _unbroadcast(gb, sb))
 
     return _make(out_data, (a, b), backward)
 
@@ -194,14 +259,17 @@ def linear(x, w, b) -> Tensor:
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
+    nx, nw, nb = _node(x), _node(w), _node(b)
+    xx = x.data if nw is not None else None
+    xw = w.data if nx is not None else None
 
     def backward(g):
-        if x.requires_grad:
-            _accum(x, np.matmul(g, w.data.T))
-        if w.requires_grad:
-            _accum(w, np.matmul(x.data.T, g))
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        if nx is not None:
+            _accum(nx, np.matmul(g, xw.T))
+        if nw is not None:
+            _accum(nw, np.matmul(xx.T, g))
+        if nb is not None:
+            _accum(nb, g.sum(axis=0))
 
     return _make(out_data, (x, w, b), backward)
 
@@ -209,9 +277,10 @@ def linear(x, w, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     out_data = a.data.reshape(shape)
+    na, sa = a.node, a.data.shape
 
     def backward(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(na, g.reshape(sa))
 
     return _make(out_data, (a,), backward)
 
@@ -219,10 +288,10 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     out_data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
+    na, inv = a.node, np.argsort(axes)
 
     def backward(g):
-        _accum(a, np.transpose(g, inv))
+        _accum(na, np.transpose(g, inv))
 
     return _make(out_data, (a,), backward)
 
@@ -232,11 +301,12 @@ def gather_rows(weight, idx) -> Tensor:
     weight = _as_tensor(weight)
     idx = np.asarray(idx)
     out_data = weight.data[idx]
+    nw, sw, dw = weight.node, weight.data.shape, weight.data.dtype
 
     def backward(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros(sw, dw)
         np.add.at(gw, idx, g)
-        _accum(weight, gw)
+        _accum(nw, gw)
 
     return _make(out_data, (weight,), backward)
 
@@ -244,11 +314,12 @@ def gather_rows(weight, idx) -> Tensor:
 def stack(tensors, axis=1) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
+    nodes = [_node(t) for t in tensors]
 
     def backward(g):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                _accum(t, np.take(g, i, axis=axis))
+        for i, n in enumerate(nodes):
+            if n is not None:
+                _accum(n, np.take(g, i, axis=axis))
 
     return _make(out_data, tuple(tensors), backward)
 
@@ -257,13 +328,14 @@ def select(a, axis: int, index: int) -> Tensor:
     """Pick one slice along ``axis`` (e.g. the hidden state of field j)."""
     a = _as_tensor(a)
     out_data = np.take(a.data, index, axis=axis)
+    na, sa, da = a.node, a.data.shape, a.data.dtype
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
+        ga = np.zeros(sa, da)
+        sl = [slice(None)] * len(sa)
         sl[axis] = index
         ga[tuple(sl)] = g
-        _accum(a, ga)
+        _accum(na, ga)
 
     return _make(out_data, (a,), backward)
 
@@ -309,6 +381,7 @@ def softmax(a) -> Tensor:
     for sl in _blocks(*x.shape):
         e = np.exp(x[sl] - row_max(x[sl]))
         np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out[sl])
+    na, sa = a.node, a.data.shape
 
     def backward(g):
         g = _rows(g)
@@ -316,7 +389,7 @@ def softmax(a) -> Tensor:
         for sl in _blocks(*g.shape):
             dot = np.add.reduce(g[sl] * out[sl], axis=-1, keepdims=True)
             np.multiply(out[sl], g[sl] - dot, out=ga[sl])
-        _accum(a, ga.reshape(a.data.shape))
+        _accum(na, ga.reshape(sa))
 
     return _make(out.reshape(a.data.shape), (a,), backward)
 
@@ -324,9 +397,10 @@ def softmax(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out_data = 1.0 / (1.0 + np.exp(-a.data))
+    na = a.node
 
     def backward(g):
-        _accum(a, g * out_data * (1.0 - out_data))
+        _accum(na, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), backward)
 
@@ -352,6 +426,7 @@ def gelu(a) -> Tensor:
         tb *= _GELU_C
         np.tanh(tb, out=tb)
         np.multiply(0.5 * xb, 1.0 + tb, out=out[sl])
+    na, sa = a.node, a.data.shape
 
     def backward(g):
         g = _rows(g)
@@ -361,7 +436,7 @@ def gelu(a) -> Tensor:
             dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
             da = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * dinner
             np.multiply(g[sl], da, out=ga[sl])
-        _accum(a, ga.reshape(a.data.shape))
+        _accum(na, ga.reshape(sa))
 
     return _make(out.reshape(a.data.shape), (a,), backward)
 
@@ -383,23 +458,27 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         if taped:
             inv[sl] = iv
         np.add(xh * gain.data, bias.data, out=out[sl])
+    # The input is not kept: the backward reads xhat, inv and the gain.
+    na, ng, nb = _node(a), _node(gain), _node(bias)
+    sa, sg, sb, dx = a.data.shape, gain.data.shape, bias.data.shape, x.dtype
+    xg = gain.data if na is not None else None
 
     def backward(g):
         # The gain and bias gradients sum over the original shape: the order
         # of the sums depends on it.
-        if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat.reshape(g.shape), gain.data.shape))
-        if bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
+        if ng is not None:
+            _accum(ng, _unbroadcast(g * xhat.reshape(g.shape), sg))
+        if nb is not None:
+            _accum(nb, _unbroadcast(g, sb))
+        if na is not None:
             g = _rows(g)
-            ga = np.empty(g.shape, np.result_type(g, gain.data, x))
+            ga = np.empty(g.shape, np.result_type(g, xg, dx))
             for sl in _blocks(n, d):
-                gx = g[sl] * gain.data
+                gx = g[sl] * xg
                 gmean = np.add.reduce(gx, axis=-1, keepdims=True) / d
                 gdot = np.add.reduce(gx * xhat[sl], axis=-1, keepdims=True) / d
                 np.multiply(inv[sl], gx - gmean - xhat[sl] * gdot, out=ga[sl])
-            _accum(a, ga.reshape(a.data.shape))
+            _accum(na, ga.reshape(sa))
 
     return _make(out.reshape(a.data.shape), (a, gain, bias), backward)
 
@@ -441,12 +520,13 @@ def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:
     losses = lse - z[np.arange(n), safe_t]
     count = int(active.sum())
     out_data = np.asarray(losses[active].sum(), dtype=z.dtype)
+    nz = logits.node
 
     def backward(g):
         p = np.exp(z - zmax)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), safe_t] -= 1.0
         p[~active] = 0.0
-        _accum(logits, g * p)
+        _accum(nz, g * p)
 
     return _make(out_data, (logits,), backward), count

@@ -102,8 +102,8 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
         dt = np.dtype(pm["dtype"]).newbyteorder("<")
         arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(pm["shape"])),
                             offset=pm["offset"])
-        arr = arr.astype(np.dtype(pm["dtype"])).reshape(pm["shape"])
-        named[pm["name"]].data = arr.copy()
+        # astype copies out of the read-only file buffer; that copy is the parameter.
+        named[pm["name"]].data = arr.reshape(pm["shape"]).astype(np.dtype(pm["dtype"]))
     schema = (TableSchema.from_json(header["schema"])
               if header["schema"] is not None else None)
     return model, schema, header

@@ -195,7 +195,7 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
     Cells equal to ``missing_marker`` (or empty) become MISSING. Rows are
     read and parsed ``_CHUNK`` at a time, one column at a time; a short row
     or a non-numeric continuous cell raises a SchemaError naming the first
-    in file order.
+    in file order. A schema field named twice in the header raises too.
     """
     columns = [[] for _ in schema.fields]
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -208,6 +208,8 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
         for f in schema.fields:
             if f.name not in col_of:
                 raise SchemaError(f"{path}: column {f.name!r} missing from header")
+            if header.count(f.name) > 1:
+                raise SchemaError(f"{path}: column {f.name!r} appears more than once in the header")
         order = [col_of[f.name] for f in schema.fields]
         while True:
             chunk, fault = [], None

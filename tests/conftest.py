@@ -666,12 +666,13 @@ def mean(a, axis=None) -> ad.Tensor:
     a = ad._as_tensor(a)
     out_data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.data.shape[axis]
+    na, shape, dtype = a.node, a.data.shape, a.data.dtype
 
     def backward(g):
         if axis is None:
-            ad._accum(a, np.full_like(a.data, g / count))
+            ad._accum(na, np.full(shape, g / count, dtype))
         else:
-            ad._accum(a, np.repeat(np.expand_dims(g, axis), count, axis=axis) / count)
+            ad._accum(na, np.repeat(np.expand_dims(g, axis), count, axis=axis) / count)
 
     return ad._make(out_data, (a,), backward)
 
@@ -710,12 +711,36 @@ def grad_check(f, params, h: float = 1e-5, rng=None, max_coords: int = 8) -> flo
     return worst
 
 
-def accum_copying(t, g):
+def backward_retaining(self):
+    """``Tensor.backward`` before it released the graph: every node keeps its
+    closure, parents and gradient after the walk."""
+    if self.data.size != 1:
+        raise ValueError("backward() requires a scalar tensor")
+    topo, seen = [], set()
+    stack = [(self.node, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            stack.append((p, False))
+    self.node.grad = np.ones_like(self.data)
+    for node in reversed(topo):
+        if node.backward is not None:
+            node.backward(node.grad)
+
+
+def accum_copying(node, g):
     """``_accum`` before it kept contiguous views: every view is copied."""
-    if t.grad is None:
-        t.grad = g if (g.base is None and g.flags.owndata) else g.copy()
+    if node.grad is None:
+        node.grad = g if (g.base is None and g.flags.owndata) else g.copy()
     else:
-        t.grad = t.grad + g
+        node.grad = node.grad + g
 
 
 def softmax_oracle(a):
@@ -723,10 +748,11 @@ def softmax_oracle(a):
     z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     out_data = e / e.sum(axis=-1, keepdims=True)
+    na = a.node
 
     def backward(g):
         dot = (g * out_data).sum(axis=-1, keepdims=True)
-        accum_copying(a, out_data * (g - dot))
+        accum_copying(na, out_data * (g - dot))
 
     return ad._make(out_data, (a,), backward)
 
@@ -740,11 +766,12 @@ def gelu_oracle(a):
     inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
+    na = a.node
 
     def backward(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
         da = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        accum_copying(a, g * da)
+        accum_copying(na, g * da)
 
     return ad._make(out_data, (a,), backward)
 
@@ -758,17 +785,19 @@ def layer_norm_oracle(a, gain, bias, eps: float = 1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
+    na, ng, nb = ad._node(a), ad._node(gain), ad._node(bias)
+    xg, sg, sb = gain.data, gain.data.shape, bias.data.shape
 
     def backward(g):
-        if gain.requires_grad:
-            accum_copying(gain, ad._unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            accum_copying(bias, ad._unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            gx = g * gain.data
+        if ng is not None:
+            accum_copying(ng, ad._unbroadcast(g * xhat, sg))
+        if nb is not None:
+            accum_copying(nb, ad._unbroadcast(g, sb))
+        if na is not None:
+            gx = g * xg
             gmean = gx.mean(axis=-1, keepdims=True)
             gdot = (gx * xhat).mean(axis=-1, keepdims=True)
-            accum_copying(a, inv * (gx - gmean - xhat * gdot))
+            accum_copying(na, inv * (gx - gmean - xhat * gdot))
 
     return ad._make(out_data, (a, gain, bias), backward)
 
@@ -790,13 +819,14 @@ def cross_entropy_sum_oracle(logits, targets, active):
     losses = lse - z[np.arange(n), safe_t]
     count = int(active.sum())
     out_data = np.asarray(losses[active].sum(), dtype=z.dtype)
+    nz = logits.node
 
     def backward(g):
         p = np.exp(z - zmax)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), safe_t] -= 1.0
         p[~active] = 0.0
-        accum_copying(logits, g * p)
+        accum_copying(nz, g * p)
 
     return ad._make(out_data, (logits,), backward), count
 

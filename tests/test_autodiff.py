@@ -209,9 +209,11 @@ class TestNoGrad:
             loss, _ = ad.cross_entropy_sum(out, [0, 1], [True, True])
         for t in (out, loss):
             assert not t.requires_grad
-            assert t._parents == () and t._backward is None
+            assert t.node is None
         taped = ad.matmul(x, w)
-        assert taped.requires_grad and taped._parents == (x, w)
+        # The constant x needs no gradient, so w's node is the only parent.
+        assert taped.requires_grad and taped.node.parents == (w.node,)
+        assert taped.node.backward is not None
 
     def test_flag_restored_after_exception_and_nesting(self):
         w = rand_param(3)

@@ -81,6 +81,15 @@ class TestCheckpoint:
         assert header["step"] == 7
         assert list(schema.names) == ["A", "B"]
 
+    def test_loaded_parameters_own_writable_copies(self, tmp_path):
+        m = TabMTModel(toy_codecs(), ModelConfig(width=16, depth=1, heads=2), seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), m, toy_schema(), step=0, seed=3)
+        loaded, _, _ = load_checkpoint(str(path))
+        for (name, p), (_, q) in zip(m.named_parameters(), loaded.named_parameters()):
+            assert q.data.flags.owndata and q.data.flags.writeable, name
+            assert q.data.flags.c_contiguous and q.data.tobytes() == p.data.tobytes(), name
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")

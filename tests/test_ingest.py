@@ -166,6 +166,22 @@ def test_non_finite_cells_load_then_fail_naming_the_field(tmp_path):
         encode_table(table, CLEAN)
 
 
+@pytest.mark.parametrize("rows", ["1,a,zz\n2,b,yy\n", "zz,a,1\nyy,b,2\n"],
+                         ids=["bad-third", "bad-first"])
+def test_duplicated_header_column_is_rejected(tmp_path, rows):
+    # Either x column could be read without a word; neither is.
+    path = tmp_path / "t.csv"
+    path.write_text("x,c,x\n" + rows, encoding="utf-8")
+    with pytest.raises(SchemaError, match="column 'x' appears more than once in the header"):
+        load_csv(str(path), XC)
+
+
+def test_duplicated_column_outside_the_schema_is_ignored(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,c,z,z\n1,a,p,q\n", encoding="utf-8")
+    assert cell_keys(load_csv(str(path), XC).rows()) == cell_keys([[1.0, "a"]])
+
+
 def test_decode_error_after_a_non_numeric_cell(tmp_path):
     # The bad byte lies past the first block the file is decoded in, so the
     # non-numeric cell before it is the first fault.

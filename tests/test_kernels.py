@@ -41,7 +41,7 @@ def run_op(op, x, extra, upstream):
     output and the gradients of the input and the extra arguments."""
     xs = [Parameter(x.copy())] + [Parameter(e.copy()) for e in extra]
     out = op(*xs)
-    out._backward(upstream)
+    out.node.backward(upstream)
     return out.data, [p.grad for p in xs]
 
 
@@ -131,8 +131,8 @@ def test_linear_matches_add_of_matmul(dtype):
         xs = [Parameter(a.copy()) for a in (x, w, b)]
         y = linear_oracle(*xs)
         # Walk the two-node tape the way Tensor.backward does.
-        y._backward(upstream)
-        y._parents[0]._backward(y._parents[0].grad)
+        y.node.backward(upstream)
+        y.node.parents[0].backward(y.node.parents[0].grad)
     assert_same(out, y.data)
     for g, p in zip(grads, xs):
         assert_same(g, p.grad)
@@ -142,23 +142,23 @@ class TestAccum:
     def test_contiguous_view_is_kept(self):
         t = Parameter(np.zeros((4, 6)))
         g = np.arange(24.0)
-        ad._accum(t, g.reshape(4, 6))
+        ad._accum(t.node, g.reshape(4, 6))
         assert np.shares_memory(t.grad, g)
 
     def test_other_view_is_copied_in_c_order(self):
         t = Parameter(np.zeros((6, 4)))
         g = np.arange(24.0).reshape(4, 6)
-        ad._accum(t, g.T)
+        ad._accum(t.node, g.T)
         assert not np.shares_memory(t.grad, g)
         assert t.grad.flags.c_contiguous and np.array_equal(t.grad, g.T)
 
     def test_owned_array_is_kept_in_its_layout(self):
         t = Parameter(np.zeros((6, 4)))
         g = np.asfortranarray(np.arange(24.0).reshape(6, 4))
-        ad._accum(t, g)
+        ad._accum(t.node, g)
         assert t.grad is g
         u = Parameter(np.zeros((6, 4)))
-        accum_copying(u, g)
+        accum_copying(u.node, g)
         assert u.grad is g
 
 

@@ -201,7 +201,7 @@ class TestInferenceContext:
         with m.inference():
             assert m.training is False
             logits = m.forward(tokens, mask)
-        assert all(not t.requires_grad and t._parents == () for t in logits)
+        assert all(not t.requires_grad and t.node is None for t in logits)
         assert m.training is training
         assert m.forward(tokens, mask)[0].requires_grad
 
@@ -221,22 +221,29 @@ class TestComputeDtype:
         m = TabMTModel(small_codecs(), ModelConfig(width=16, depth=2, heads=2,
                                                    dropout=0.1, drop_path=0.1,
                                                    dtype=dtype), seed=2)
-        made = []
-        make = ad._make
+        made, grads = [], []
+        make, accum = ad._make, ad._accum
 
         def recording_make(data, parents, backward):
             out = make(data, parents, backward)
             made.append(out)
             return out
 
+        # Backward releases every op output's gradient, so each gradient is
+        # recorded as it arrives and after it is summed into its node.
+        def recording_accum(node, g):
+            accum(node, g)
+            grads.extend((g.dtype, node.grad.dtype))
+
         monkeypatch.setattr(ad, "_make", recording_make)
+        monkeypatch.setattr(ad, "_accum", recording_accum)
         rng = np.random.default_rng(0)
         tokens = np.stack([rng.integers(0, k, 32) for k in m.cardinalities], axis=1)
         m.training = True
         training_step(m, tokens, np.zeros(tokens.shape, dtype=bool), rng)
-        assert made
+        assert made and grads
         assert {t.dtype for t in made} == {np.dtype(dtype)}
-        assert {t.grad.dtype for t in made if t.grad is not None} == {np.dtype(dtype)}
+        assert set(grads) == {np.dtype(dtype)}
         for name, p in m.named_parameters():
             assert p.grad is not None, name
             assert p.grad.dtype == dtype, name
