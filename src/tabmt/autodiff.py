@@ -1,32 +1,38 @@
 """Minimal reverse-mode autodiff over dense numpy arrays.
 
 Only the operations the masked-transformer model needs are implemented:
-matmul (2-D and batched), a fused linear layer, broadcast add/multiply,
-softmax, layer norm, GELU, sigmoid, dropout/drop-path, embedding lookup,
-stack/select and a fused masked cross entropy. Tapes are dynamic: an op
-whose input requires grad gives its output a ``Node`` beside ``.data``,
-and ``Tensor.backward`` walks the nodes in reverse topological order.
-Inside ``no_grad()`` ops record no tape, so inference keeps nothing alive.
+matmul (2-D and batched), a fused linear layer, a fused feed-forward
+layer (``ffn``: linear, GELU, dropout mask, linear), broadcast
+add/multiply, softmax, layer norm, GELU, sigmoid, dropout/drop-path,
+embedding lookup, stack/select and a fused masked cross entropy. Tapes
+are dynamic: an op whose input requires grad gives its output a ``Node``
+beside ``.data``, and ``Tensor.backward`` walks the nodes in reverse
+topological order. Inside ``no_grad()`` ops record no tape, so inference
+keeps nothing alive.
 
 A node holds a gradient slot, its parents' nodes and a backward closure.
 The closure keeps the parents' shapes and exactly the arrays it reads,
 never a parent tensor: the inputs of mul, matmul and linear (each only
 where the other input needs a gradient), the outputs of softmax, sigmoid
 and reciprocal, GELU's input and tanh, layer norm's xhat, inverse
-deviation and gain, and cross entropy's logits. So an output that only
-add, scale, reshape, transpose, stack, select or a layer norm reads is
-freed during the forward. ``backward`` releases each node as soon as its
-closure has run: the closure, the parent links and, unless the node is a
-leaf, its gradient. A graph can therefore be walked once; a second
-``backward`` through it raises. Parameters keep their gradient.
+deviation and gain, and cross entropy's logits. ``ffn`` keeps its input,
+its pre-activation h, the weights and the dropout mask, but not the
+activation or its tanh: its backward recomputes both from h, one row
+block at a time. So an output that only add, scale, reshape, transpose,
+stack, select or a layer norm reads is freed during the forward.
+``backward`` releases each node as soon as its closure has run: the
+closure, the parent links and, unless the node is a leaf, its gradient.
+A graph can therefore be walked once; a second ``backward`` through it
+raises. Parameters keep their gradient.
 
 Softmax, GELU and layer norm work through row blocks of 2^16 elements,
 so their temporaries stay in cache, and write each block into a
-preallocated output. They apply the unblocked formulas in the same order
-to each row, and every reduction runs along one row, so the bits do not
-depend on the block size. The first gradient a node receives is kept
-without a copy when it is C-contiguous; other views are copied, because
-their layout would change the order of a later sum.
+preallocated output; GELU and ``ffn`` reuse one set of block-sized
+scratch arrays for every block. They apply the unblocked formulas in the
+same order to each row, and every reduction runs along one row, so the
+bits do not depend on the block size. The first gradient a node receives
+is kept without a copy when it is C-contiguous; other views are copied,
+because their layout would change the order of a later sum.
 
 Training runs in float32 by default; gradient checking uses float64.
 """
@@ -352,9 +358,20 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]) if x.ndim else x.reshape(1, 1)
 
 
+def _block_rows(d: int) -> int:
+    return max(1, _BLOCK // max(1, d))
+
+
 def _blocks(n: int, d: int) -> list[slice]:
-    step = max(1, _BLOCK // max(1, d))
+    step = _block_rows(d)
     return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _scratch(k: int, x: np.ndarray) -> np.ndarray:
+    """``k`` arrays of one row block of the 2-D ``x``, which every block
+    reuses instead of allocating its own temporaries."""
+    n, d = x.shape
+    return np.empty((k, min(n, _block_rows(d)), d), x.dtype)
 
 
 def row_max(x: np.ndarray) -> np.ndarray:
@@ -408,6 +425,46 @@ def sigmoid(a) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_block(xb: np.ndarray, out: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """Tanh-approximation GELU of one row block into ``out``, which may be
+    ``xb``. The block's tanh goes into ``t``; ``u`` is scratch."""
+    # tanh(c * (x + 0.044715 * (x * x * x))), in place. x * x * x, not
+    # x**3, which takes numpy's much slower general power path.
+    np.multiply(xb, xb, out=t)
+    t *= xb
+    t *= 0.044715
+    t += xb
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    # 0.5 * x * (1 + t), into out only once xb is no longer read.
+    np.add(t, 1.0, out=u)
+    np.multiply(xb, 0.5, out=out)
+    out *= u
+
+
+def _gelu_grad_block(gb: np.ndarray, xb: np.ndarray, t: np.ndarray, out: np.ndarray,
+                     u: np.ndarray, s: np.ndarray):
+    """``gb`` times GELU's derivative at ``xb``, whose tanh is ``t``, into
+    ``out``, which may be ``gb``. ``t`` is overwritten; ``u`` and ``s`` are
+    scratch."""
+    # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * (x * x)),
+    # in place: each product and sum has the operands of that formula, so
+    # the bits do not change.
+    np.add(t, 1.0, out=u)
+    u *= 0.5
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(xb, 0.5, out=s)
+    t *= s
+    np.multiply(xb, xb, out=s)
+    s *= 3 * 0.044715
+    s += 1.0
+    s *= _GELU_C
+    t *= s
+    u += t
+    np.multiply(gb, u, out=out)
+
+
 def gelu(a) -> Tensor:
     """Tanh-approximation GELU."""
     a = _as_tensor(a)
@@ -415,30 +472,82 @@ def gelu(a) -> Tensor:
     out = np.empty_like(x)
     # Without a tape, tanh is kept one block at a time.
     t = np.empty_like(x) if _grad_enabled and a.requires_grad else None
+    tb, u = _scratch(2, x)
     for sl in _blocks(*x.shape):
-        xb = x[sl]
-        # tanh(c * (x + 0.044715 * (x * x * x))), in place. x * x * x, not
-        # x**3, which takes numpy's much slower general power path.
-        tb = np.multiply(xb, xb, out=None if t is None else t[sl])
-        tb *= xb
-        tb *= 0.044715
-        tb += xb
-        tb *= _GELU_C
-        np.tanh(tb, out=tb)
-        np.multiply(0.5 * xb, 1.0 + tb, out=out[sl])
+        r = len(x[sl])
+        _gelu_block(x[sl], out[sl], tb[:r] if t is None else t[sl], u[:r])
     na, sa = a.node, a.data.shape
 
     def backward(g):
         g = _rows(g)
         ga = np.empty(g.shape, np.result_type(g, x))
+        u, s = _scratch(2, x)
         for sl in _blocks(*x.shape):
-            xb, tb = x[sl], t[sl]
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
-            da = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * dinner
-            np.multiply(g[sl], da, out=ga[sl])
+            r = len(x[sl])
+            _gelu_grad_block(g[sl], x[sl], t[sl], ga[sl], u[:r], s[:r])
         _accum(na, ga.reshape(sa))
 
     return _make(out.reshape(a.data.shape), (a,), backward)
+
+
+def ffn(x, w1, b1, w2, b2, keep=None) -> Tensor:
+    """``linear(mul(gelu(linear(x, w1, b1)), keep), w2, b2)`` for 2-D ``x``
+    as one op; ``keep`` is a dropout mask, or None for none.
+
+    The tape keeps the input and the pre-activation h, not the activation
+    or its tanh: backward recomputes both from h one row block at a time.
+    Without a tape the activation is written over h.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    nx, nw1, nb1, nw2, nb2 = (_node(t) for t in (x, w1, b1, w2, b2))
+    taped = _grad_enabled and any(n is not None for n in (nx, nw1, nb1, nw2, nb2))
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    act = np.empty_like(h) if taped else h
+    t, u = _scratch(2, h)
+    for sl in _blocks(*h.shape):
+        r = len(h[sl])
+        _gelu_block(h[sl], act[sl], t[:r], u[:r])
+        if keep is not None:
+            act[sl] *= keep[sl]
+    out_data = np.matmul(act, w2.data)
+    out_data += b2.data
+    # h's gradient flows on when x, w1 or b1 needs one.
+    into_h = nx is not None or nw1 is not None or nb1 is not None
+    xx = x.data if nw1 is not None else None
+    xw1 = w1.data if nx is not None else None
+    xw2 = w2.data if into_h else None
+
+    def backward(g):
+        # Two (rows, 4 * width) buffers at most: h's gradient, written in
+        # place over g @ w2.T, and the recomputed activation w2's gradient reads.
+        gh = np.matmul(g, xw2.T) if into_h else None
+        act = np.empty_like(h) if nw2 is not None else None
+        t, u, s = _scratch(3, h)
+        for sl in _blocks(*h.shape):
+            hb = h[sl]
+            r = len(hb)
+            _gelu_block(hb, s[:r] if act is None else act[sl], t[:r], u[:r])
+            if keep is not None:
+                if act is not None:
+                    act[sl] *= keep[sl]
+                if gh is not None:
+                    gh[sl] *= keep[sl]
+            if gh is not None:
+                _gelu_grad_block(gh[sl], hb, t[:r], gh[sl], u[:r], s[:r])
+        if nw2 is not None:
+            _accum(nw2, np.matmul(act.T, g))
+        del act
+        if nb2 is not None:
+            _accum(nb2, g.sum(axis=0))
+        if nx is not None:
+            _accum(nx, np.matmul(gh, xw1.T))
+        if nw1 is not None:
+            _accum(nw1, np.matmul(xx.T, gh))
+        if nb1 is not None:
+            _accum(nb1, gh.sum(axis=0))
+
+    return _make(out_data, (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -483,23 +592,27 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(out.reshape(a.data.shape), (a, gain, bias), backward)
 
 
+def dropout_mask(shape, dtype, p: float, rng: np.random.Generator, training: bool):
+    """Inverted dropout's keep mask, 0 or 1 / (1 - p) per element; None,
+    drawing nothing, when not training or p == 0."""
+    if not training or p <= 0.0:
+        return None
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
 def dropout(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout; identity when not training or p == 0."""
     a = _as_tensor(a)
-    if not training or p <= 0.0:
-        return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    keep = dropout_mask(a.data.shape, a.data.dtype, p, rng, training)
+    return a if keep is None else mul(a, Tensor(keep))
 
 
 def drop_path(a, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Stochastic depth: drop the whole branch per row, rescale survivors."""
     a = _as_tensor(a)
-    if not training or p <= 0.0:
-        return a
     shape = (a.data.shape[0],) + (1,) * (a.data.ndim - 1)
-    keep = (rng.random(shape) >= p).astype(a.data.dtype) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    keep = dropout_mask(shape, a.data.dtype, p, rng, training)
+    return a if keep is None else mul(a, Tensor(keep))
 
 
 def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:

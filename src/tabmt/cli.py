@@ -140,12 +140,12 @@ def _load_model(path: str):
 
 
 def _cmd_train(args) -> int:
+    cfg = ModelConfig(width=args.width, depth=args.depth, heads=args.heads,
+                      dropout=args.dropout, drop_path=args.drop_path)
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema, args.missing_marker)
     codecs = fit_codecs(table)
     tokens = encode_table(table, codecs)
-    cfg = ModelConfig(width=args.width, depth=args.depth, heads=args.heads,
-                      dropout=args.dropout, drop_path=args.drop_path)
     model = TabMTModel(codecs, cfg, seed=args.seed)
     tc = TrainConfig(batch_size=args.batch_size, max_steps=args.max_steps,
                      warmup_steps=args.warmup_steps, peak_lr=args.lr,

@@ -31,6 +31,10 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("dropout", "drop_path"):
+            p = getattr(self, name)
+            if not 0.0 <= p < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {p}")
         if self.width % self.heads != 0:
             raise ValueError(f"width {self.width} not divisible by heads {self.heads}")
 
@@ -152,10 +156,11 @@ class _EncoderBlock:
         x = ad.add(x, ad.drop_path(a, self.drop_path, rng, training))
         f = ad.layer_norm(x, self.ln2_g, self.ln2_b)
         n, l, d = f.shape
-        f = ad.reshape(f, (n * l, d))
-        f = ad.gelu(ad.linear(f, self.w1, self.b1))
-        f = ad.dropout(f, self.dropout, rng, training)
-        f = ad.linear(f, self.w2, self.b2)
+        # The FFN's dropout mask, drawn after the attention branch's draws and
+        # before the FFN's drop_path: the draw order fixes tokens per seed.
+        keep = ad.dropout_mask((n * l, self.w1.shape[1]), f.dtype, self.dropout, rng,
+                               training)
+        f = ad.ffn(ad.reshape(f, (n * l, d)), self.w1, self.b1, self.w2, self.b2, keep)
         f = ad.reshape(f, (n, l, d))
         return ad.add(x, ad.drop_path(f, self.drop_path, rng, training))
 

@@ -806,6 +806,15 @@ def linear_oracle(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
+def ffn_oracle(x, w1, b1, w2, b2, keep=None):
+    """``ad.ffn`` as the chain of ops it replaced, which kept the activation
+    and its tanh on the tape."""
+    a = gelu_oracle(linear_oracle(x, w1, b1))
+    if keep is not None:
+        a = ad.mul(a, ad.Tensor(keep))
+    return linear_oracle(a, w2, b2)
+
+
 def cross_entropy_sum_oracle(logits, targets, active):
     """``ad.cross_entropy_sum`` with each row's maximum from ``ndarray.max``."""
     logits = ad._as_tensor(logits)
@@ -851,10 +860,10 @@ def sample_field_oracle(logits: np.ndarray, tau_u: float, rng: np.random.Generat
 @contextlib.contextmanager
 def oracle_kernels():
     """Run the autodiff ops inside the block as they were before the
-    row-blocked kernels, ``ad.linear``, ``ad.row_max`` and the copy-free
-    ``_accum``."""
+    row-blocked kernels, ``ad.linear``, ``ad.ffn``, ``ad.row_max`` and the
+    copy-free ``_accum``."""
     patches = {"softmax": softmax_oracle, "gelu": gelu_oracle,
-               "layer_norm": layer_norm_oracle, "linear": linear_oracle,
+               "layer_norm": layer_norm_oracle, "linear": linear_oracle, "ffn": ffn_oracle,
                "cross_entropy_sum": cross_entropy_sum_oracle, "_accum": accum_copying}
     saved = {name: getattr(ad, name) for name in patches}
     for name, fn in patches.items():

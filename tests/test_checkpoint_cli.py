@@ -213,6 +213,17 @@ class TestCmdTrain:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in err and "message" in err
 
+    @pytest.mark.parametrize("flag", ["--dropout", "--drop-path"])
+    def test_drop_rate_outside_unit_interval(self, tmp_path, capsys, flag):
+        schema_path, data_path = write_toy_dataset(tmp_path)
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(train_args(schema_path, data_path, str(ckpt), steps=5) + [flag, "1.5"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert flag[2:].replace("-", "_") in err["message"]
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_training_value(self, tmp_path, capsys, bad):
         schema = TableSchema(fields=(

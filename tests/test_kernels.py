@@ -1,6 +1,6 @@
-"""The row-blocked softmax, GELU and layer norm, ``ad.linear``, the
-column-loop ``ad.row_max`` and the copy-free ``_accum`` give the bits of
-the kernels they replaced."""
+"""The row-blocked softmax, GELU and layer norm, ``ad.linear``, ``ad.ffn``,
+the column-loop ``ad.row_max`` and the copy-free ``_accum`` give the bits
+of the kernels they replaced."""
 
 import tracemalloc
 
@@ -138,6 +138,54 @@ def test_linear_matches_add_of_matmul(dtype):
         assert_same(g, p.grad)
 
 
+def ffn_chain(x, w1, b1, w2, b2, keep=None):
+    """``ad.ffn`` as a chain of the other ops."""
+    a = ad.gelu(ad.linear(x, w1, b1))
+    if keep is not None:
+        a = ad.mul(a, Tensor(keep))
+    return ad.linear(a, w2, b2)
+
+
+def run_ffn(op, arrays, keep, upstream, frozen):
+    """``op``'s output and the gradients of x, w1, b1, w2 and b2 after a
+    backward walk that sends ``upstream`` into the output. The inputs at
+    the indices in ``frozen`` do not require grad."""
+    ts = [Tensor(a.copy()) if i in frozen else Parameter(a.copy())
+          for i, a in enumerate(arrays)]
+    out = op(*ts, keep=keep)
+    ad.matmul(ad.reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1))).backward()
+    return out.data, [t.grad for t in ts]
+
+
+def ffn_inputs(n, d, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal((n, d)), rng.standard_normal((d, k)) * 0.5,
+              rng.standard_normal(k) * 0.5, rng.standard_normal((k, d)) * 0.2,
+              rng.standard_normal(d) * 0.1]
+    upstream = rng.standard_normal((n, d))
+    return [a.astype(dtype) for a in arrays], upstream.astype(dtype), rng
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("d, k", [(64, 256), (5, 20)])
+@pytest.mark.parametrize("n", [1, 37, 256, 600, 4097])
+@pytest.mark.parametrize("drop", [0.0, 0.1])
+def test_ffn_matches_chain(n, d, k, dtype, drop):
+    arrays, upstream, rng = ffn_inputs(n, d, k, dtype, seed=n + d)
+    keep = ad.dropout_mask((n, k), np.dtype(dtype), drop, rng, True)
+    # Everything trains; x is a constant input; w2 and b2 are frozen.
+    for frozen in ((), (0,), (3, 4)):
+        out, grads = run_ffn(ad.ffn, arrays, keep, upstream, frozen)
+        want, want_grads = run_ffn(ffn_chain, arrays, keep, upstream, frozen)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        for i, (g, w) in enumerate(zip(grads, want_grads)):
+            assert (g is None) == (i in frozen) == (w is None)
+            assert g is None or g.tobytes() == w.tobytes()
+    with ad.no_grad():
+        out = ad.ffn(*[Tensor(a) for a in arrays], keep=keep)
+    assert out.data.tobytes() == want.tobytes()
+
+
 class TestAccum:
     def test_contiguous_view_is_kept(self):
         t = Parameter(np.zeros((4, 6)))
@@ -162,11 +210,12 @@ class TestAccum:
         assert u.grad is g
 
 
-def gelu_scratch_bytes(x):
+def inference_scratch_bytes(op, *args):
+    """Peak bytes ``op`` allocates under ``no_grad()`` beyond its output."""
     tracemalloc.start()
     try:
         with ad.no_grad():
-            out = ad.gelu(x)
+            out = op(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,7 +224,17 @@ def gelu_scratch_bytes(x):
 
 def test_inference_gelu_keeps_no_full_size_temporary():
     x = Tensor(np.random.default_rng(2).standard_normal((4096, 256)).astype(np.float32))
-    assert gelu_scratch_bytes(x) <= 1 << 20
+    assert inference_scratch_bytes(ad.gelu, x) <= 1 << 20
+
+
+def test_inference_ffn_keeps_no_full_size_temporary():
+    """Without a tape the activation is written over h, and tanh lives one
+    row block at a time."""
+    rng = np.random.default_rng(3)
+    args = [Tensor(rng.standard_normal(s).astype(np.float32))
+            for s in [(4096, 64), (64, 256), (256,), (256, 64), (64,)]]
+    h_bytes = 4096 * 256 * 4
+    assert inference_scratch_bytes(ad.ffn, *args) - h_bytes <= 1 << 20
 
 
 def random_model(l, seed, dtype, dropout=0.0):

@@ -65,6 +65,16 @@ class TestModelForward:
         with pytest.raises(ValueError):
             ModelConfig(width=65, heads=4)
 
+    @pytest.mark.parametrize("field", ["dropout", "drop_path"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.5, float("nan")])
+    def test_drop_rate_outside_unit_interval(self, field, p):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: p})
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.999])
+    def test_drop_rate_inside_unit_interval(self, p):
+        assert ModelConfig(dropout=p, drop_path=p).dropout == p
+
     def test_near_uniform_at_init_all_masked(self):
         # Fresh models with everything masked should emit near-uniform
         # distributions; checked statistically over 10 seeds.
