@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import CategoricalCodec, decode_table, encode_table, fit_codecs
-from .flowcheck import FlowRecord, check_invariants, decompose_timestamp
+from .flowcheck import FlowError, FlowRecord, check_invariants, decompose_timestamp
 from .generation import GenerationSpec, generate, impute
 from .metrics import (
     CLASSIFY,
@@ -142,14 +143,14 @@ def _load_model(path: str):
 def _cmd_train(args) -> int:
     cfg = ModelConfig(width=args.width, depth=args.depth, heads=args.heads,
                       dropout=args.dropout, drop_path=args.drop_path)
+    tc = TrainConfig(batch_size=args.batch_size, max_steps=args.max_steps,
+                     warmup_steps=args.warmup_steps, peak_lr=args.lr,
+                     weight_decay=args.weight_decay, seed=args.seed)
     schema = load_schema(args.schema)
     table = load_csv(args.data, schema, args.missing_marker)
     codecs = fit_codecs(table)
     tokens = encode_table(table, codecs)
     model = TabMTModel(codecs, cfg, seed=args.seed)
-    tc = TrainConfig(batch_size=args.batch_size, max_steps=args.max_steps,
-                     warmup_steps=args.warmup_steps, peak_lr=args.lr,
-                     weight_decay=args.weight_decay, seed=args.seed)
     history = train(model, tokens, tc)
     save_checkpoint(args.out, model, schema, step=tc.max_steps, seed=args.seed)
     if args.loss_csv:
@@ -245,6 +246,31 @@ _FLOW_COLUMNS = ["timestamp", "src_ip", "dst_ip", "protocol", "src_port",
                  "dst_port", "duration", "bytes", "packets", "flags", "tos"]
 
 
+def _ip(raw: str) -> str:
+    ipaddress.ip_address(raw)  # raises ValueError on a malformed address
+    return raw
+
+
+# Each non-text column's parser; a ValueError from one names the cell.
+_FLOW_PARSERS = {"src_ip": _ip, "dst_ip": _ip, "src_port": int, "dst_port": int,
+                 "duration": float, "bytes": int, "packets": int, "tos": int}
+
+
+def _flow_record(row: dict) -> FlowRecord:
+    cells = {}
+    for column in _FLOW_COLUMNS:
+        raw = row[column]
+        if raw is None:
+            raise FlowError(f"column {column!r} is missing (short row)")
+        try:
+            cells[column] = _FLOW_PARSERS.get(column, str)(raw)
+        except ValueError:
+            raise FlowError(f"bad value {raw!r} in column {column!r}") from None
+    weekday, hour, minute, second, ms = decompose_timestamp(cells.pop("timestamp"))
+    return FlowRecord(weekday=weekday, hour=hour, minute=minute, second=second,
+                      millisecond=ms, **cells)
+
+
 def _cmd_flowcheck(args) -> int:
     import csv as _csv
 
@@ -255,15 +281,10 @@ def _cmd_flowcheck(args) -> int:
         if missing_cols:
             raise CliError(f"netflow CSV missing columns: {sorted(missing_cols)}")
         for row in reader:
-            weekday, hour, minute, second, ms = decompose_timestamp(row["timestamp"])
-            records.append(FlowRecord(
-                weekday=weekday, hour=hour, minute=minute, second=second,
-                millisecond=ms, src_ip=row["src_ip"], dst_ip=row["dst_ip"],
-                protocol=row["protocol"], src_port=int(row["src_port"]),
-                dst_port=int(row["dst_port"]), duration=float(row["duration"]),
-                bytes=int(row["bytes"]), packets=int(row["packets"]),
-                flags=row["flags"], tos=int(row["tos"]),
-            ))
+            try:
+                records.append(_flow_record(row))
+            except FlowError as e:
+                raise FlowError(f"{args.data} line {reader.line_num}: {e}") from None
     report = check_invariants(records)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, indent=2)

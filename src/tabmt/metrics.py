@@ -214,6 +214,8 @@ def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
     radius equal to its k-th nearest real neighbor; precision is the
     fraction of synthetic points inside it. Recall swaps the roles.
     """
+    if k < 1:
+        raise MetricError(f"k must be at least 1, got k={k}")
     real_emb = np.asarray(real_emb, dtype=np.float64)
     synth_emb = np.asarray(synth_emb, dtype=np.float64)
     if len(real_emb) <= k or len(synth_emb) <= k:

@@ -31,6 +31,9 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for name in ("width", "depth", "heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("dropout", "drop_path"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
@@ -43,7 +46,16 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
-class OrderedEmbedding:
+class _Module:
+    """A group of parameters declared once, as ``Parameter`` attributes."""
+
+    def parameters(self) -> list[tuple[str, Parameter]]:
+        """(name, parameter) for each ``Parameter`` attribute, in the order
+        ``__init__`` first assigns them; checkpoints store them in this order."""
+        return [(n, p) for n, p in vars(self).items() if isinstance(p, Parameter)]
+
+
+class OrderedEmbedding(_Module):
     """Continuous-field embedding interpolated between two endpoints.
 
     Effective row i is ``E_i + r_i * l_vec + (1 - r_i) * h_vec``; the
@@ -60,26 +72,20 @@ class OrderedEmbedding:
 
     def weight(self) -> Tensor:
         r = self.ratios[:, None]
-        lo = ad.mul(Tensor(r), ad.reshape(self.l_vec, (1, -1)))
-        hi = ad.mul(Tensor(1.0 - r), ad.reshape(self.h_vec, (1, -1)))
+        lo = ad.mul(Tensor(r), self.l_vec)
+        hi = ad.mul(Tensor(1.0 - r), self.h_vec)
         return ad.add(self.E, ad.add(lo, hi))
 
-    def parameters(self):
-        return [("E", self.E), ("l_vec", self.l_vec), ("h_vec", self.h_vec)]
 
-
-class CategoricalEmbedding:
+class CategoricalEmbedding(_Module):
     def __init__(self, cardinality: int, dim: int, rng: np.random.Generator, dtype):
         self.E = Parameter(rng.normal(0, 0.05, (cardinality, dim)).astype(dtype))
 
     def weight(self) -> Tensor:
         return self.E
 
-    def parameters(self):
-        return [("E", self.E)]
 
-
-class DynamicLinear:
+class DynamicLinear(_Module):
     """Output head tied to its field embedding, with learned temperature."""
 
     def __init__(self, embedding, dtype):
@@ -89,14 +95,11 @@ class DynamicLinear:
 
     def forward(self, x: Tensor) -> Tensor:
         w = self.embedding.weight()
-        raw = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), self.bias)
+        raw = ad.linear(x, ad.transpose(w, (1, 0)), self.bias)
         return ad.mul(raw, ad.reciprocal(ad.sigmoid(self.temp)))
 
-    def parameters(self):
-        return [("bias", self.bias), ("temp", self.temp)]
 
-
-class _EncoderBlock:
+class _EncoderBlock(_Module):
     """Pre-norm self-attention + feed-forward residual block."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -124,30 +127,26 @@ class _EncoderBlock:
         self.drop_path = cfg.drop_path
 
     def _attention(self, x: Tensor, rng, training) -> Tensor:
+        """Self-attention of (n, l, d) tokens; returns (n, l, d).
+
+        The projections run on (n·l, d) rows. q and v are viewed as
+        (n, h, l, dh) and k as (n, h, dh, l), so the (n, h, l, l) scores and
+        the (n, h, l, dh) context are each one product batched over (row,
+        head). The context goes back to (n·l, d) for the output projection.
+        """
         n, l, d = x.shape
-        h = self.heads
-        dh = d // h
+        h, dh = self.heads, d // self.heads
         flat = ad.reshape(x, (n * l, d))
-        q = ad.linear(flat, self.wq, self.bq)
-        k = ad.linear(flat, self.wk, self.bk)
-        v = ad.linear(flat, self.wv, self.bv)
-
-        def split_heads(t):
-            t = ad.reshape(t, (n, l, h, dh))
-            t = ad.transpose(t, (0, 2, 1, 3))
-            return ad.reshape(t, (n * h, l, dh))
-
-        q, k, v = split_heads(q), split_heads(k), split_heads(v)
+        q, k, v = (ad.transpose(ad.reshape(ad.linear(flat, w, b), (n, l, h, dh)), axes)
+                   for w, b, axes in ((self.wq, self.bq, (0, 2, 1, 3)),
+                                      (self.wk, self.bk, (0, 2, 3, 1)),
+                                      (self.wv, self.bv, (0, 2, 1, 3))))
         # A Python float, not a numpy float64 scalar, so that NumPy 2
         # promotion keeps the activations in the model dtype.
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-        attn = ad.softmax(scores)
-        attn = ad.dropout(attn, self.dropout, rng, training)
-        ctx = ad.matmul(attn, v)
-        ctx = ad.reshape(ctx, (n, h, l, dh))
-        ctx = ad.transpose(ctx, (0, 2, 1, 3))
-        ctx = ad.reshape(ctx, (n * l, d))
-        out = ad.linear(ctx, self.wo, self.bo)
+        scores = ad.scale(ad.matmul(q, k), 1.0 / math.sqrt(dh))
+        attn = ad.dropout(ad.softmax(scores), self.dropout, rng, training)
+        ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
+        out = ad.linear(ad.reshape(ctx, (n * l, d)), self.wo, self.bo)
         return ad.reshape(out, (n, l, d))
 
     def forward(self, x: Tensor, rng, training) -> Tensor:
@@ -163,11 +162,6 @@ class _EncoderBlock:
         f = ad.ffn(ad.reshape(f, (n * l, d)), self.w1, self.b1, self.w2, self.b2, keep)
         f = ad.reshape(f, (n, l, d))
         return ad.add(x, ad.drop_path(f, self.drop_path, rng, training))
-
-    def parameters(self):
-        names = ["ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
-        return [(n, getattr(self, n)) for n in names]
 
 
 def distinct_states(tokens: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +252,8 @@ class TabMTModel:
         emb = ad.stack([ad.gather_rows(e.weight(), idx[:, j])
                         for j, e in enumerate(self.embeddings)], axis=1)
         m = mask.astype(self.cfg.np_dtype)[:, :, None]
-        x = ad.add(ad.mul(emb, Tensor(1.0 - m)),
-                   ad.mul(ad.reshape(self.mask_token, (1, 1, -1)), Tensor(m)))
-        x = ad.add(x, ad.reshape(self.positional, (1, l, self.cfg.width)))
+        x = ad.add(ad.mul(emb, Tensor(1.0 - m)), ad.mul(self.mask_token, Tensor(m)))
+        x = ad.add(x, self.positional)
         for blk in self.blocks:
             x = blk.forward(x, rng, self.training)
         return ad.layer_norm(x, self.ln_f_g, self.ln_f_b)

@@ -261,6 +261,8 @@ def infer_schema(path: str, max_bins: int = 100, missing_marker: str = "",
             fields.append(FieldSchema(name=name, kind=CONTINUOUS, max_bins=max_bins))
         else:
             fields.append(FieldSchema(name=name, kind=CATEGORICAL))
+    if target is not None and target not in header:
+        raise SchemaError(f"target {target!r} is not a column of {path}")
     target_index = header.index(target) if target is not None else None
     return TableSchema(fields=tuple(fields), target_index=target_index)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ class TrainConfig:
             raise ValueError("batch_size and max_steps must be positive")
         if not 0 <= self.warmup_steps < self.max_steps:
             raise ValueError("warmup_steps must lie in [0, max_steps)")
+        for name in ("peak_lr", "weight_decay"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and at least 0, got {v}")
 
 
 def sample_mask(n: int, l: int, missing: np.ndarray | None,

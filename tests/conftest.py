@@ -12,12 +12,13 @@ import pytest
 from hypothesis import settings
 
 from tabmt import autodiff as ad
-from tabmt.autodiff import Parameter
+from tabmt.autodiff import Parameter, Tensor
 from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _continuous, _field,
-                         _finite, _kmeans_1d, fit_categorical)
+                         _finite, _kmeans_1d, fit_categorical, fit_continuous)
 from tabmt.generation import _field_order, sample_field
 from tabmt.metrics import CLASSIFY, REGRESS, MetricError, _macro_f1, _train_logistic
-from tabmt.model import ModelConfig, TabMTModel
+from tabmt.model import (CategoricalEmbedding, DynamicLinear, ModelConfig, OrderedEmbedding,
+                         TabMTModel, _EncoderBlock)
 from tabmt.optim import AdamW
 from tabmt.schema import (CONTINUOUS, MISSING, FieldSchema, SchemaError, TableSchema,
                           TokenTable)
@@ -452,6 +453,157 @@ def per_field_hidden():
         yield
     finally:
         TabMTModel._hidden = original
+
+
+def mixed_case(l: int, seed: int, dtype: str, drop: float = 0.1, n: int = 24,
+               width: int = 16, depth: int = 2, heads: int = 2):
+    """A model over ``l`` mixed fields (continuous, small categorical and,
+    from l = 4, one 1,000-way field) and a batch of ``n`` rows for it: tokens
+    with blank cells holding their field's sentinel, and a mask over the
+    blanks and a random third of the other cells. Row 0 is fully masked, row
+    1 has nothing masked, row 2 is all blank. ``drop`` is both the dropout and
+    the drop-path rate."""
+    rng = np.random.default_rng(seed)
+    codecs = []
+    for j in range(l):
+        if l >= 4 and j == l // 2:
+            codecs.append(fit_categorical([f"v{i}" for i in range(1000)]))
+        elif j % 2 == 0:
+            codecs.append(fit_continuous(rng.normal(size=40).tolist(),
+                                         max_bins=int(rng.integers(2, 12))))
+        else:
+            codecs.append(fit_categorical(list("abcdefgh"[:int(rng.integers(2, 9))])))
+
+    def model():
+        cfg = ModelConfig(width=width, depth=depth, heads=heads, dropout=drop,
+                          drop_path=drop, dtype=dtype)
+        return TabMTModel(codecs, cfg, seed=seed)
+
+    cards = np.array([c.cardinality for c in codecs])
+    tokens = (rng.random((n, l)) * cards).astype(np.int64)
+    missing = rng.random((n, l)) < 0.15
+    missing[1], missing[2] = False, True
+    tokens[missing] = np.broadcast_to(cards, (n, l))[missing]
+    mask = missing | (rng.random((n, l)) < 0.35)
+    mask[0], mask[1] = True, False
+    return model, tokens, missing, mask
+
+
+# The model's plumbing as it was before each piece of math became one tape
+# node: attention on (n * h, l, dh) products behind reshape-only nodes,
+# parameters reshaped before they broadcast, heads as matmul + add, and a
+# parameter list written out per class. The bodies are kept verbatim.
+
+def attention_reshaping(self, x: Tensor, rng, training) -> Tensor:
+    n, l, d = x.shape
+    h = self.heads
+    dh = d // h
+    flat = ad.reshape(x, (n * l, d))
+    q = ad.linear(flat, self.wq, self.bq)
+    k = ad.linear(flat, self.wk, self.bk)
+    v = ad.linear(flat, self.wv, self.bv)
+
+    def split_heads(t):
+        t = ad.reshape(t, (n, l, h, dh))
+        t = ad.transpose(t, (0, 2, 1, 3))
+        return ad.reshape(t, (n * h, l, dh))
+
+    q, k, v = split_heads(q), split_heads(k), split_heads(v)
+    # A Python float, not a numpy float64 scalar, so that NumPy 2
+    # promotion keeps the activations in the model dtype.
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    attn = ad.softmax(scores)
+    attn = ad.dropout(attn, self.dropout, rng, training)
+    ctx = ad.matmul(attn, v)
+    ctx = ad.reshape(ctx, (n, h, l, dh))
+    ctx = ad.transpose(ctx, (0, 2, 1, 3))
+    ctx = ad.reshape(ctx, (n * l, d))
+    out = ad.linear(ctx, self.wo, self.bo)
+    return ad.reshape(out, (n, l, d))
+
+
+def ordered_weight_reshaping(self) -> Tensor:
+    r = self.ratios[:, None]
+    lo = ad.mul(Tensor(r), ad.reshape(self.l_vec, (1, -1)))
+    hi = ad.mul(Tensor(1.0 - r), ad.reshape(self.h_vec, (1, -1)))
+    return ad.add(self.E, ad.add(lo, hi))
+
+
+def head_forward_matmul_add(self, x: Tensor) -> Tensor:
+    w = self.embedding.weight()
+    raw = ad.add(ad.matmul(x, ad.transpose(w, (1, 0))), self.bias)
+    return ad.mul(raw, ad.reciprocal(ad.sigmoid(self.temp)))
+
+
+def hidden_reshaping(self, tokens: np.ndarray, mask: np.ndarray,
+                     rng: np.random.Generator | None) -> Tensor:
+    """Final encoder hidden states after the pre-head layer norm. Each field looks up
+    its own table; one blend over all fields puts the mask token in every masked cell."""
+    tokens = np.asarray(tokens)
+    mask = np.asarray(mask, dtype=bool)
+    n, l = tokens.shape
+    if l != self.n_fields:
+        raise ValueError(f"expected {self.n_fields} fields, got {l}")
+    rng = rng or np.random.default_rng(0)
+    # Masked positions read the mask token; their token value is
+    # irrelevant, so clamp it into range before the lookup.
+    idx = np.where(mask, 0, tokens)
+    bad = ((idx < 0) | (idx >= np.asarray(self.cardinalities))).any(axis=0)
+    if bad.any():
+        raise ValueError(f"token out of range at unmasked position, field {np.argmax(bad)}")
+    emb = ad.stack([ad.gather_rows(e.weight(), idx[:, j])
+                    for j, e in enumerate(self.embeddings)], axis=1)
+    m = mask.astype(self.cfg.np_dtype)[:, :, None]
+    x = ad.add(ad.mul(emb, Tensor(1.0 - m)),
+               ad.mul(ad.reshape(self.mask_token, (1, 1, -1)), Tensor(m)))
+    x = ad.add(x, ad.reshape(self.positional, (1, l, self.cfg.width)))
+    for blk in self.blocks:
+        x = blk.forward(x, rng, self.training)
+    return ad.layer_norm(x, self.ln_f_g, self.ln_f_b)
+
+
+def ordered_parameters_listed(self):
+    return [("E", self.E), ("l_vec", self.l_vec), ("h_vec", self.h_vec)]
+
+
+def categorical_parameters_listed(self):
+    return [("E", self.E)]
+
+
+def head_parameters_listed(self):
+    return [("bias", self.bias), ("temp", self.temp)]
+
+
+def block_parameters_listed(self):
+    names = ["ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+             "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"]
+    return [(n, getattr(self, n)) for n in names]
+
+
+@contextlib.contextmanager
+def reshaping_plumbing():
+    """Run every ``TabMTModel`` inside the block on the reshaping plumbing
+    above; each class gets its own methods back on exit."""
+    patches = [(_EncoderBlock, "_attention", attention_reshaping),
+               (OrderedEmbedding, "weight", ordered_weight_reshaping),
+               (DynamicLinear, "forward", head_forward_matmul_add),
+               (TabMTModel, "_hidden", hidden_reshaping),
+               (OrderedEmbedding, "parameters", ordered_parameters_listed),
+               (CategoricalEmbedding, "parameters", categorical_parameters_listed),
+               (DynamicLinear, "parameters", head_parameters_listed),
+               (_EncoderBlock, "parameters", block_parameters_listed)]
+    # An inherited method is not in the class's own dict; it is deleted again.
+    saved = [(cls, name, cls.__dict__.get(name)) for cls, name, _ in patches]
+    for cls, name, fn in patches:
+        setattr(cls, name, fn)
+    try:
+        yield
+    finally:
+        for cls, name, fn in saved:
+            if fn is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, fn)
 
 
 def brute_dcr(synth: np.ndarray, train_vec: np.ndarray) -> float:

@@ -224,6 +224,22 @@ class TestCmdTrain:
         assert flag[2:].replace("-", "_") in err["message"]
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--width", "0", "width"), ("--depth", "0", "depth"), ("--heads", "0", "heads"),
+        ("--lr", "-1", "peak_lr"), ("--lr", "nan", "peak_lr"),
+        ("--weight-decay", "-5", "weight_decay"), ("--weight-decay", "inf", "weight_decay")])
+    def test_untrainable_config_fails_before_reading_data(self, tmp_path, capsys, flag,
+                                                          value, field):
+        # Neither the schema nor the data exists: the config is checked first.
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(train_args(str(tmp_path / "none.json"), str(tmp_path / "none.csv"),
+                             str(ckpt), steps=50) + [flag, value])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(field)
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_training_value(self, tmp_path, capsys, bad):
         schema = TableSchema(fields=(
@@ -234,8 +250,10 @@ class TestCmdTrain:
         rows = [f"{i % 9}.5,{'pq'[i % 2]}" for i in range(40)]
         rows[17] = f"{bad},q"
         (tmp_path / "train.csv").write_text("\n".join(["size,B"] + rows) + "\n")
+        # 50 steps: train builds its configs before it reads the data, so
+        # they must be valid for the data to be read at all.
         rc = main(train_args(str(tmp_path / "schema.json"), str(tmp_path / "train.csv"),
-                             str(tmp_path / "x.ckpt"), steps=5))
+                             str(tmp_path / "x.ckpt"), steps=50))
         assert rc == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "CodecError"
@@ -286,6 +304,18 @@ class TestCmdGenerate:
 
 
 class TestCmdEvaluate:
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_knn_below_one_rejected(self, trained_cli, tmp_path, capsys, k):
+        report = tmp_path / "report.json"
+        rc = main(["evaluate", "--checkpoint", trained_cli["ckpt"],
+                   "--real-train", trained_cli["data"], "--real-test", trained_cli["data"],
+                   "--synth", trained_cli["data"], "--report", str(report), "--knn", k])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "MetricError"
+        assert f"k={k}" in err["message"]
+        assert not report.exists()
+
     def test_synth_equals_train_gives_zero_dcr(self, trained_cli):
         tmp = trained_cli["tmp"]
         report_path = str(tmp / "report.json")
@@ -364,6 +394,30 @@ class TestCmdFlowcheck:
         assert report["tcp_flags"]["rate"] == 0.1
         assert report["private_ips"]["rate"] == 0.0
         assert report["packet_ratios"]["rate"] == 0.0
+
+    @pytest.mark.parametrize("row, column, value", [
+        ("2023-01-02 13:05:07.250,192.168.1.5,192.168.1.9,UDP,5000", "dst_port", None),
+        ("2023-01-02 13:05:07.250,192.168.1.5,192.168.1.9,UDP,abc,6000,0.5,420,10,.,0",
+         "src_port", "abc"),
+        ("2023-01-02 13:05:07.250,192.168.1.5,192.168.1.9,UDP,5000,6000,x,420,10,.,0",
+         "duration", "x"),
+        ("2023-01-02 13:05:07.250,192.168.1.5,10.0.0.300,UDP,5000,6000,0.5,420,10,.,0",
+         "dst_ip", "10.0.0.300")], ids=["short_row", "int_column", "float_column", "ip_column"])
+    def test_bad_row_names_line_and_column(self, tmp_path, capsys, row, column, value):
+        header = "timestamp,src_ip,dst_ip,protocol,src_port,dst_port,duration,bytes,packets,flags,tos"
+        good = "2023-01-02 13:05:07.250,192.168.1.5,192.168.1.9,UDP,5000,6000,0.5,420,10,.,0"
+        data = tmp_path / "flows.csv"
+        data.write_text("\n".join([header, good, good, row, good]) + "\n")
+        report = tmp_path / "r.json"
+        rc = main(["flowcheck", "--data", str(data), "--report", str(report)])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "FlowError"
+        assert "line 4: " in err["message"]
+        assert f"column {column!r}" in err["message"]
+        if value is not None:
+            assert repr(value) in err["message"]
+        assert not report.exists()
 
     def test_missing_column_errors(self, tmp_path, capsys):
         data = tmp_path / "short.csv"

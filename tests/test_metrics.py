@@ -328,6 +328,13 @@ class TestPrecisionRecall:
             precision_recall(np.random.default_rng(0).normal(size=(10, 2)),
                              np.full((10, 2), 1e6))
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_k_below_one_rejected(self, k):
+        # The radius is the (k + 1)-th neighbour: k = -1 would pick the farthest row.
+        rng = np.random.default_rng(18)
+        with pytest.raises(MetricError, match=f"k={k}"):
+            precision_recall(rng.normal(size=(50, 4)), rng.normal(size=(40, 4)), k=k)
+
     def test_clouds_far_from_the_origin_are_not_degenerate(self):
         # A tolerance relative to |x| would call these clouds all-identical.
         rng = np.random.default_rng(17)

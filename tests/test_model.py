@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import per_field_hidden
+from conftest import mixed_case, per_field_hidden
 from tabmt import autodiff as ad
 from tabmt.codec import fit_categorical, fit_continuous
 from tabmt.model import (
@@ -64,6 +64,12 @@ class TestModelForward:
     def test_width_head_divisibility(self):
         with pytest.raises(ValueError):
             ModelConfig(width=65, heads=4)
+
+    @pytest.mark.parametrize("field", ["width", "depth", "heads"])
+    @pytest.mark.parametrize("v", [0, -1])
+    def test_topology_below_one_rejected(self, field, v):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: v})
 
     @pytest.mark.parametrize("field", ["dropout", "drop_path"])
     @pytest.mark.parametrize("p", [1.0, 1.5, -0.5, float("nan")])
@@ -279,38 +285,6 @@ class TestFieldSubset:
         got = m.embed_rows(sentinel, missing)
         h = m._hidden(tokens, missing, None).data.mean(axis=1)
         assert np.array_equal(got, h)
-
-
-def mixed_case(l: int, seed: int, dtype: str):
-    """A model over ``l`` mixed fields (continuous, small categorical and,
-    from l = 4, one 1,000-way field) and a batch for it: tokens with
-    blank cells holding their field's sentinel, and a mask over the blanks
-    and a random third of the other cells. Row 0 is fully masked, row 1
-    has nothing masked, row 2 is all blank."""
-    rng = np.random.default_rng(seed)
-    codecs = []
-    for j in range(l):
-        if l >= 4 and j == l // 2:
-            codecs.append(fit_categorical([f"v{i}" for i in range(1000)]))
-        elif j % 2 == 0:
-            codecs.append(fit_continuous(rng.normal(size=40).tolist(),
-                                         max_bins=int(rng.integers(2, 12))))
-        else:
-            codecs.append(fit_categorical(list("abcdefgh"[:int(rng.integers(2, 9))])))
-
-    def model():
-        return TabMTModel(codecs, ModelConfig(width=16, depth=2, heads=2, dropout=0.1,
-                                              drop_path=0.1, dtype=dtype), seed=seed)
-
-    n = 24
-    cards = np.array([c.cardinality for c in codecs])
-    tokens = (rng.random((n, l)) * cards).astype(np.int64)
-    missing = rng.random((n, l)) < 0.15
-    missing[1], missing[2] = False, True
-    tokens[missing] = np.broadcast_to(cards, (n, l))[missing]
-    mask = missing | (rng.random((n, l)) < 0.35)
-    mask[0], mask[1] = True, False
-    return model, tokens, missing, mask
 
 
 def both(fn):

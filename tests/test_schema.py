@@ -109,6 +109,12 @@ class TestInferSchema:
         assert schema.fields[1].kind == CATEGORICAL
         assert schema.target_index == 1
 
+    def test_unknown_target_named(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("x,label\n1.0,a\n2.5,b\n")
+        with pytest.raises(SchemaError, match="'zz'"):
+            infer_schema(str(p), target="zz")
+
 
 class TestSplit:
     def make_table(self, n):

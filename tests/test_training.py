@@ -124,6 +124,16 @@ class TestTrain:
         for b, a in zip(before, after):
             assert np.allclose(b, a)
 
+    @pytest.mark.parametrize("field", ["peak_lr", "weight_decay"])
+    @pytest.mark.parametrize("v", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rate_rejected(self, field, v):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: v})
+
+    def test_zero_rates_accepted(self):
+        cfg = TrainConfig(peak_lr=0.0, weight_decay=0.0)
+        assert cfg.peak_lr == cfg.weight_decay == 0.0
+
     def test_empty_table_errors(self):
         m = TabMTModel(toy_codecs(), ModelConfig(width=16, depth=1, heads=2), seed=0)
         empty = TokenTable(schema=None, tokens=np.zeros((0, 2), dtype=int))
