@@ -4,11 +4,11 @@ Only the operations the masked-transformer model needs are implemented:
 matmul (2-D and batched), a fused linear layer, a fused feed-forward
 layer (``ffn``: linear, GELU, dropout mask, linear), broadcast
 add/multiply, softmax, layer norm, GELU, sigmoid, dropout/drop-path,
-embedding lookup, stack/select and a fused masked cross entropy. Tapes
-are dynamic: an op whose input requires grad gives its output a ``Node``
-beside ``.data``, and ``Tensor.backward`` walks the nodes in reverse
-topological order. Inside ``no_grad()`` ops record no tape, so inference
-keeps nothing alive.
+embedding lookup (one table, or one per column), stack/select and a
+fused masked cross entropy. Tapes are dynamic: an op whose input requires
+grad gives its output a ``Node`` beside ``.data``, and ``Tensor.backward``
+walks the nodes in reverse topological order. Inside ``no_grad()`` ops
+record no tape, so inference keeps nothing alive.
 
 A node holds a gradient slot, its parents' nodes and a backward closure.
 The closure keeps the parents' shapes and exactly the arrays it reads,
@@ -315,6 +315,27 @@ def gather_rows(weight, idx) -> Tensor:
         _accum(nw, gw)
 
     return _make(out_data, (weight,), backward)
+
+
+def embed(weights, idx) -> Tensor:
+    """Each column's lookup side by side: ``out[:, j] = weights[j][idx[:, j]]``,
+    (n, l, d). ``stack`` of l ``gather_rows`` as one op, with their bits."""
+    weights = [_as_tensor(w) for w in weights]
+    idx = np.asarray(idx)
+    out_data = np.empty(idx.shape + weights[0].data.shape[1:],
+                        np.result_type(*(w.data for w in weights)))
+    for j, w in enumerate(weights):
+        out_data[:, j] = w.data[idx[:, j]]
+    nodes = [(_node(w), w.data.shape, w.data.dtype) for w in weights]
+
+    def backward(g):
+        for j, (nw, sw, dw) in enumerate(nodes):
+            if nw is not None:
+                gw = np.zeros(sw, dw)
+                np.add.at(gw, idx[:, j], g[:, j])
+                _accum(nw, gw)
+
+    return _make(out_data, tuple(weights), backward)
 
 
 def stack(tensors, axis=1) -> Tensor:

@@ -224,6 +224,11 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
+    for flag, value, least in (("--generations", args.generations, 0),
+                               ("--population", args.population, 4),
+                               ("--eval-budget", args.eval_budget, 1)):
+        if value < least:
+            raise CliError(f"{flag} must be at least {least}, got {value}")
     model, schema = _load_model(args.checkpoint)
     if schema.target_index is None:
         raise CliError("schema declares no target column for the quality objective")

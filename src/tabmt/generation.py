@@ -73,7 +73,7 @@ def _field_order(fields, rng: np.random.Generator) -> np.ndarray:
 def _field_logits(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
                   j: int) -> np.ndarray:
     """Field j's logits per row, computed once per distinct (tokens, mask)
-    row state."""
+    row state, by a forward that runs the last block at field j only."""
     first, inverse = distinct_states(tokens, mask)
     logits = model.forward(tokens[first], mask[first], fields=(j,))[0].data
     return logits[inverse]
@@ -84,9 +84,11 @@ def generate(model: TabMTModel, spec: GenerationSpec) -> TokenTable:
 
     All cells start masked except conditioned fields; one permutation of
     the unconditioned indices is drawn per batch, and each field is
-    sampled from softmax(logits / tau_u) then unmasked. All rows share
-    the first step's state, so it runs one row; later steps run every row,
-    as their count of distinct states would vary with the drawn order.
+    sampled from softmax(logits / tau_u) then unmasked. Each step's forward
+    asks for the sampled field's head only, so the last encoder block runs
+    at that field's position alone. All rows share the first step's state,
+    so it runs one row; later steps run every row, as their count of
+    distinct states would vary with the drawn order.
     """
     l = model.n_fields
     temps = _checked_temps(spec.temps, l)
@@ -122,6 +124,8 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     Field j's logits are computed for the rows where j is still masked,
     once per distinct row state.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
     temps_l = _checked_temps(temps, model.n_fields)
     rng = np.random.default_rng(seed)
     tokens = table.tokens.copy()

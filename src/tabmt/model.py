@@ -126,41 +126,59 @@ class _EncoderBlock(_Module):
         self.dropout = cfg.dropout
         self.drop_path = cfg.drop_path
 
-    def _attention(self, x: Tensor, rng, training) -> Tensor:
-        """Self-attention of (n, l, d) tokens; returns (n, l, d).
+    def _attention(self, x: Tensor, rng, training, rows=None) -> Tensor:
+        """Self-attention of (n, l, d) tokens for the queries at the (n, q)
+        ``rows`` of x's (n·l, d) view, or at every position when ``rows`` is
+        None (q = l); returns (n, q, d).
 
-        The projections run on (n·l, d) rows. q and v are viewed as
-        (n, h, l, dh) and k as (n, h, dh, l), so the (n, h, l, l) scores and
-        the (n, h, l, dh) context are each one product batched over (row,
-        head). The context goes back to (n·l, d) for the output projection.
+        The projections run on (n·l, d) rows, q's on the query rows only.
+        q and v are viewed as (n, h, q or l, dh) and k as (n, h, dh, l), so
+        the (n, h, q, l) scores and the (n, h, q, dh) context are each one
+        product batched over (row, head). The context goes back to (n·q, d)
+        for the output projection.
         """
         n, l, d = x.shape
         h, dh = self.heads, d // self.heads
         flat = ad.reshape(x, (n * l, d))
-        q, k, v = (ad.transpose(ad.reshape(ad.linear(flat, w, b), (n, l, h, dh)), axes)
-                   for w, b, axes in ((self.wq, self.bq, (0, 2, 1, 3)),
-                                      (self.wk, self.bk, (0, 2, 3, 1)),
-                                      (self.wv, self.bv, (0, 2, 1, 3))))
+        lq = l if rows is None else rows.shape[1]
+        queries = flat if rows is None else ad.gather_rows(flat, rows.reshape(-1))
+        q, k, v = (ad.transpose(ad.reshape(ad.linear(t, w, b), (n, m, h, dh)), axes)
+                   for t, m, w, b, axes in ((queries, lq, self.wq, self.bq, (0, 2, 1, 3)),
+                                            (flat, l, self.wk, self.bk, (0, 2, 3, 1)),
+                                            (flat, l, self.wv, self.bv, (0, 2, 1, 3))))
         # A Python float, not a numpy float64 scalar, so that NumPy 2
         # promotion keeps the activations in the model dtype.
         scores = ad.scale(ad.matmul(q, k), 1.0 / math.sqrt(dh))
         attn = ad.dropout(ad.softmax(scores), self.dropout, rng, training)
         ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
-        out = ad.linear(ad.reshape(ctx, (n * l, d)), self.wo, self.bo)
-        return ad.reshape(out, (n, l, d))
+        out = ad.linear(ad.reshape(ctx, (n * lq, d)), self.wo, self.bo)
+        return ad.reshape(out, (n, lq, d))
 
-    def forward(self, x: Tensor, rng, training) -> Tensor:
+    def forward(self, x: Tensor, rng, training, at=None) -> Tensor:
+        """The block on (n, l, d) tokens; returns (n, q, d), the outputs at
+        the (n, q) positions ``at`` of each row, or at all l positions in
+        order when ``at`` is None.
+
+        Layer norm 1, keys and values run on every position, since every
+        query attends to all of them; queries, the output projection, both
+        residuals, layer norm 2 and the feed-forward layer run at ``at`` only.
+        """
+        n, l, d = x.shape
+        # Each row's positions as rows of the block's (n·l, d) view.
+        rows = None if at is None else np.arange(n)[:, None] * l + at
         a = ad.layer_norm(x, self.ln1_g, self.ln1_b)
-        a = self._attention(a, rng, training)
+        a = self._attention(a, rng, training, rows)
+        if rows is not None:
+            x = ad.gather_rows(ad.reshape(x, (n * l, d)), rows)
         x = ad.add(x, ad.drop_path(a, self.drop_path, rng, training))
         f = ad.layer_norm(x, self.ln2_g, self.ln2_b)
-        n, l, d = f.shape
+        n, q, d = f.shape
         # The FFN's dropout mask, drawn after the attention branch's draws and
         # before the FFN's drop_path: the draw order fixes tokens per seed.
-        keep = ad.dropout_mask((n * l, self.w1.shape[1]), f.dtype, self.dropout, rng,
+        keep = ad.dropout_mask((n * q, self.w1.shape[1]), f.dtype, self.dropout, rng,
                                training)
-        f = ad.ffn(ad.reshape(f, (n * l, d)), self.w1, self.b1, self.w2, self.b2, keep)
-        f = ad.reshape(f, (n, l, d))
+        f = ad.ffn(ad.reshape(f, (n * q, d)), self.w1, self.b1, self.w2, self.b2, keep)
+        f = ad.reshape(f, (n, q, d))
         return ad.add(x, ad.drop_path(f, self.drop_path, rng, training))
 
 
@@ -234,9 +252,11 @@ class TabMTModel:
             self.training = was_training
 
     def _hidden(self, tokens: np.ndarray, mask: np.ndarray,
-                rng: np.random.Generator | None) -> Tensor:
-        """Final encoder hidden states after the pre-head layer norm. Each field looks up
-        its own table; one blend over all fields puts the mask token in every masked cell."""
+                rng: np.random.Generator | None, at: np.ndarray | None = None) -> Tensor:
+        """Final encoder hidden states after the pre-head layer norm, (n, l, d),
+        or (n, q, d) at the (n, q) positions ``at`` of each row, where the last
+        block runs. Each field looks up its own table; one blend over all
+        fields puts the mask token in every masked cell."""
         tokens = np.asarray(tokens)
         mask = np.asarray(mask, dtype=bool)
         n, l = tokens.shape
@@ -249,13 +269,13 @@ class TabMTModel:
         bad = ((idx < 0) | (idx >= np.asarray(self.cardinalities))).any(axis=0)
         if bad.any():
             raise ValueError(f"token out of range at unmasked position, field {np.argmax(bad)}")
-        emb = ad.stack([ad.gather_rows(e.weight(), idx[:, j])
-                        for j, e in enumerate(self.embeddings)], axis=1)
+        emb = ad.embed([e.weight() for e in self.embeddings], idx)
         m = mask.astype(self.cfg.np_dtype)[:, :, None]
         x = ad.add(ad.mul(emb, Tensor(1.0 - m)), ad.mul(self.mask_token, Tensor(m)))
         x = ad.add(x, self.positional)
-        for blk in self.blocks:
+        for blk in self.blocks[:-1]:
             x = blk.forward(x, rng, self.training)
+        x = self.blocks[-1].forward(x, rng, self.training, at)
         return ad.layer_norm(x, self.ln_f_g, self.ln_f_b)
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray,
@@ -263,12 +283,19 @@ class TabMTModel:
                 fields=None) -> list[Tensor]:
         """Per-field logits, each of shape (n, cardinality_j).
 
-        ``fields`` lists the fields whose heads to run (default: all);
-        sampling one field needs one head, not l.
+        ``fields`` lists the fields whose heads to run, in the order given
+        (default: all); sampling one field needs one head, not l. A forward
+        that asks for some heads computes the last encoder block only at
+        their positions: its keys and values still cover every position, so
+        the logits match the full forward's up to rounding, not bit for bit.
         """
-        h = self._hidden(tokens, mask, rng)
-        fields = range(self.n_fields) if fields is None else fields
-        return [self.heads[j].forward(ad.select(h, 1, j)) for j in fields]
+        if fields is None:
+            fields, at = range(self.n_fields), None
+        else:
+            fields = list(fields)
+            at = np.tile(np.arange(self.n_fields)[fields], (len(tokens), 1))
+        h = self._hidden(tokens, mask, rng, at)
+        return [self.heads[j].forward(ad.select(h, 1, t)) for t, j in enumerate(fields)]
 
     def embed_rows(self, tokens: np.ndarray,
                    missing: np.ndarray | None = None) -> np.ndarray:

@@ -37,6 +37,8 @@ class CandidateEvaluator:
                  real_train: RawTable, real_test: RawTable,
                  target_index: int, task: str, eval_budget: int = 1000,
                  seed: int = 0):
+        if eval_budget < 1:
+            raise ValueError("eval_budget must be at least 1")
         self.model = model
         self.space = space
         self.train_vectors = space.transform(real_train)
@@ -111,6 +113,8 @@ def pareto_search(evaluator: CandidateEvaluator, generations: int = 10,
     sorted by descending DCR."""
     if population < 4:
         raise ValueError("population must be at least 4")
+    if generations < 0:
+        raise ValueError("generations must be at least 0")
     rng = np.random.default_rng(seed)
     l = evaluator.model.n_fields
     mut_rate = 1.0 / l

@@ -379,6 +379,28 @@ class TestCmdPareto:
             t1, t2 = (float(x) for x in line.split(",")[:2])
             assert 0.5 <= t1 <= 5.0 and 0.5 <= t2 <= 5.0
 
+    @pytest.mark.parametrize("flag, value", [("--generations", "-3"),
+                                             ("--generations", "-1"),
+                                             ("--population", "3"),
+                                             ("--population", "0"),
+                                             ("--eval-budget", "0"),
+                                             ("--eval-budget", "-5")])
+    def test_flag_checked_before_anything_is_read(self, tmp_path, capsys, flag, value):
+        """None of the paths exist: the flag fails first, naming itself."""
+        out = tmp_path / "front.csv"
+        args = {"--generations": "1", "--population": "4", "--eval-budget": "10",
+                flag: value}
+        rc = main(["pareto", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--real-train", str(tmp_path / "absent_train.csv"),
+                   "--real-test", str(tmp_path / "absent_test.csv"),
+                   "--out", str(out), "--task", "classify",
+                   *(x for kv in args.items() for x in kv)])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "CliError"
+        assert flag in err["message"] and value in err["message"]
+        assert not out.exists()
+
 
 class TestCmdFlowcheck:
     def test_report_rates(self, tmp_path):

@@ -176,6 +176,13 @@ class TestImpute:
         assert not out.missing.any()
         assert np.all(out.tokens < 4)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, trained_toy_model, batch_size):
+        tt = TokenTable(schema=None, tokens=np.full((5, 2), 4),
+                        missing=np.ones((5, 2), dtype=bool))
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            impute(trained_toy_model, tt, seed=0, batch_size=batch_size)
+
 
 def mixed_model(dtype="float32"):
     """Untrained model with categorical and continuous fields."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixed_case, per_field_hidden
+from conftest import PRUNED_ATOL, mixed_case, per_field_hidden
 from tabmt import autodiff as ad
 from tabmt.codec import fit_categorical, fit_continuous
 from tabmt.model import (
@@ -274,7 +274,8 @@ class TestFieldSubset:
         full = m.forward(tokens, mask)
         for j in range(m.n_fields):
             (one,) = m.forward(tokens, mask, fields=(j,))
-            assert np.array_equal(one.data, full[j].data)
+            np.testing.assert_allclose(one.data, full[j].data, rtol=0,
+                                       atol=PRUNED_ATOL["float64"])
 
     def test_embed_rows_masks_missing_cells(self):
         m = small_model()
@@ -300,7 +301,9 @@ MIXED_CASES = [(l, dtype) for l in (1, 2, 3, 4, 9, 16) for dtype in ("float32", 
 
 class TestMatchesPerFieldHidden:
     """The input side that blends all fields at once gives the per-field
-    loop's logits, loss, gradients, embeddings and sampled tokens, bit for bit."""
+    loop's logits, loss, gradients, embeddings and sampled tokens, bit for
+    bit; a single head's logits, whose last block runs at one position
+    against the loop's at every position, to ``PRUNED_ATOL``."""
 
     @pytest.mark.parametrize("l, dtype", MIXED_CASES)
     def test_forward(self, l, dtype):
@@ -309,8 +312,8 @@ class TestMatchesPerFieldHidden:
         new, old = both(lambda: [t.data.tobytes() for t in m.forward(tokens, mask)])
         assert new == old
         for j in range(l):
-            new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data.tobytes())
-            assert new == old
+            new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data)
+            np.testing.assert_allclose(new, old, rtol=0, atol=PRUNED_ATOL[dtype])
 
     @pytest.mark.parametrize("l, dtype", MIXED_CASES)
     def test_training_step_loss_and_gradients(self, l, dtype):

@@ -80,6 +80,19 @@ class TestParetoSearch:
         with pytest.raises(ValueError):
             pareto_search(evaluator, generations=1, population=3)
 
+    @pytest.mark.parametrize("generations", [-1, -3])
+    def test_negative_generations(self, evaluator, generations):
+        with pytest.raises(ValueError, match="generations must be at least 0"):
+            pareto_search(evaluator, generations=generations, population=4)
+
+    @pytest.mark.parametrize("budget", [0, -2])
+    def test_eval_budget_below_one(self, trained_toy_model, budget):
+        real_train, real_test = toy_tables()
+        space = MetricSpace.fit(real_train, trained_toy_model.codecs)
+        with pytest.raises(ValueError, match="eval_budget must be at least 1"):
+            CandidateEvaluator(trained_toy_model, space, real_train, real_test,
+                               target_index=1, task="classify", eval_budget=budget)
+
     def test_front_valid_and_bounded(self, evaluator, tmp_path):
         front = pareto_search(evaluator, generations=2, population=8, seed=0)
         assert front

@@ -3,13 +3,15 @@ what the reshaping plumbing (``conftest.reshaping_plumbing``) gave, bit for
 bit, and builds fewer tape nodes.
 
 Attention runs on 4-D products, parameters broadcast as they are, the heads
-go through ``ad.linear`` and each class's parameter list is read from its
-attributes."""
+go through ``ad.linear``, the field lookups are one ``ad.embed`` and each
+class's parameter list is read from its attributes. A forward for one head
+runs the last block at that head's position only, so its logits match the
+reshaping plumbing's, which runs it everywhere, to ``PRUNED_ATOL``."""
 
 import numpy as np
 import pytest
 
-from conftest import mixed_case, reshaping_plumbing
+from conftest import PRUNED_ATOL, mixed_case, reshaping_plumbing
 from tabmt import autodiff as ad
 from tabmt.checkpoint import save_checkpoint
 from tabmt.generation import GenerationSpec, generate, impute
@@ -38,8 +40,8 @@ class TestMatchesReshapingPlumbing:
         assert new == old
         for j in range(l):
             with m.inference():
-                new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data.tobytes())
-            assert new == old
+                new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data)
+            np.testing.assert_allclose(new, old, rtol=0, atol=PRUNED_ATOL[dtype])
 
     def test_training_step_loss_and_gradients(self, l, dtype, drop):
         model, tokens, missing, _ = mixed_case(l, 80 + l, dtype, drop)
@@ -119,7 +121,9 @@ def count_ops(fn) -> int:
 def test_fewer_tape_nodes():
     """A float32 training step and a single-head inference forward at
     l = 16 (batch 256, width 64, depth 4) each build at most 85 % of the op
-    outputs of the reshaping plumbing."""
+    outputs of the reshaping plumbing. The 16-row single-head forward builds
+    no more than the 156 it built before the last block ran at the asked
+    position only."""
     model, tokens, missing, mask = mixed_case(16, 3, "float32", 0.0, n=256, width=64,
                                               depth=4, heads=4)
     m = model()
@@ -136,3 +140,4 @@ def test_fewer_tape_nodes():
     for fn in (step, infer):
         new, old = both(lambda: count_ops(fn))
         assert new <= 0.85 * old, (fn.__name__, new, old)
+    assert count_ops(infer) <= 156
