@@ -1,12 +1,12 @@
 """Quality, privacy, and diversity metrics.
 
-Rows are compared in a shared Euclidean feature space: continuous
-fields min-max scaled by the training min/max, categorical fields
-one-hot expanded. Nearest-neighbor searches are exact, in two stages: a
-screen computes all squared distances as |a|^2 + |b|^2 - 2a.b, one BLAS
-product per block of rows, with a per-row bound on its rounding error; the
-pairs it cannot decide are recomputed by explicit differences. So every
-distance in a result equals a row-by-row brute-force one bit for bit.
+Rows are compared in a shared Euclidean feature space: continuous fields
+min-max scaled by the training min/max, categorical fields one-hot expanded.
+Nearest-neighbor searches run once per distinct row, each copy still counted,
+and are exact, in two stages: a screen computes all squared distances as
+|a|^2 + |b|^2 - 2a.b, one BLAS product per block of rows, with a per-row bound
+on its rounding error; the pairs it cannot decide are recomputed by explicit
+differences. So every result equals a row-by-row brute-force one bit for bit.
 The correlation-error histogram correlates only the columns that vary in
 both tables; every pair with a column constant in either counts as 0.
 """
@@ -130,6 +130,14 @@ def _kth_dists(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _distinct(x: np.ndarray):
+    """Distinct rows (compared as bytes, faster than axis=0), each row's index in them, counts."""
+    x = np.ascontiguousarray(x)
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, True, True, True)  # index, inverse, counts
+    return x[first], inverse, counts
+
+
 def dcr(synth: np.ndarray, train: np.ndarray) -> float:
     """Median Euclidean distance from each synthetic row to its nearest
     training row. Zero means memorization; higher is more private."""
@@ -140,7 +148,8 @@ def dcr(synth: np.ndarray, train: np.ndarray) -> float:
         raise MetricError("dcr dimension mismatch")
     if not (np.isfinite(synth).all() and np.isfinite(train).all()):
         raise MetricError("dcr requires finite inputs")
-    return float(np.median(_kth_dists(synth, train, 1)))
+    queries, inverse, _ = _distinct(synth)
+    return float(np.median(_kth_dists(queries, train, 1)[inverse]))
 
 
 def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
@@ -191,7 +200,7 @@ def diversity(synth_tokens: np.ndarray, real_tokens: np.ndarray) -> float:
     return float(np.mean(covs))
 
 
-def _fraction_covered(queries: np.ndarray, centers: np.ndarray,
+def _fraction_covered(queries: np.ndarray, counts: np.ndarray, centers: np.ndarray,
                       radii: np.ndarray) -> float:
     # sqrt(d2) <= r if d2 <= r^2, not if d2 > r^2 / (1 - u)^2; the margin spans that.
     r2 = radii * radii
@@ -202,8 +211,17 @@ def _fraction_covered(queries: np.ndarray, centers: np.ndarray,
         unsure = ~(s2 - bound[:, None] > r2 + margin) & ~inside[:, None]
         d2, cols = _sq_dists(queries[start:start + len(s2)], centers, unsure)
         inside |= (np.sqrt(d2) <= radii[cols]).any(axis=1)
-        hits += int(inside.sum())
-    return hits / len(queries)
+        hits += int(counts[start:start + len(s2)][inside].sum())
+    return hits / int(counts.sum())
+
+
+def _balls(cloud: np.ndarray, k: int):
+    """The distinct points of ``cloud``, their counts, and the distance from each to its
+    (k + 1)-th nearest row of ``cloud``, where it and its copies are at exactly 0."""
+    points, _, counts = _distinct(cloud)
+    radii = np.zeros(len(points))
+    radii[counts <= k] = _kth_dists(points[counts <= k], cloud, k + 1)
+    return points, counts, radii
 
 
 def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
@@ -224,11 +242,10 @@ def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
         raise MetricError("precision_recall requires finite embeddings")
     if (real_emb == real_emb[0]).all() or (synth_emb == synth_emb[0]).all():
         raise MetricError("degenerate (all-identical) embeddings")
-    # Each point is its own nearest neighbour, at distance exactly 0.
-    real_r = _kth_dists(real_emb, real_emb, k + 1)
-    synth_r = _kth_dists(synth_emb, synth_emb, k + 1)
-    precision = _fraction_covered(synth_emb, real_emb, real_r)
-    recall = _fraction_covered(real_emb, synth_emb, synth_r)
+    real, real_n, real_r = _balls(real_emb, k)
+    synth, synth_n, synth_r = _balls(synth_emb, k)
+    precision = _fraction_covered(synth, synth_n, real, real_r)
+    recall = _fraction_covered(real, real_n, synth, synth_r)
     return precision, recall
 
 
@@ -250,20 +267,25 @@ def _macro_f1(y_true: np.ndarray, y_pred: np.ndarray, classes: np.ndarray) -> fl
 def _train_logistic(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 300,
                     lr: float = 0.1, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    w = SimpleNamespace(data=rng.normal(0, 0.01, (x.shape[1], n_classes)), grad=None)
-    b = SimpleNamespace(data=np.zeros(n_classes), grad=None)
-    opt = AdamW([w, b], lr=lr, weight_decay=1e-4)
-    rows, scale = np.arange(len(x)), 1.0 / len(x)
+    # w and b are views into one vector, which AdamW updates as one parameter.
+    n_w = x.shape[1] * n_classes
+    data, grad = np.zeros(n_w + n_classes), np.empty(n_w + n_classes)
+    (w, b), (gw, gb) = ((a[:n_w].reshape(-1, n_classes), a[n_w:]) for a in (data, grad))
+    w[...] = rng.normal(0, 0.01, w.shape)
+    opt = AdamW([SimpleNamespace(data=data, grad=grad)], lr=lr, weight_decay=1e-4)
+    p, one_hot, scale = np.empty((len(x), n_classes)), np.eye(n_classes)[y], 1.0 / len(x)
     for _ in range(steps):
         # Gradient of the mean cross entropy, in the order a tape computes it.
-        z = x @ w.data + b.data
-        p = np.exp(z - row_max(z))
+        np.add(np.matmul(x, w, out=p), b, out=p)
+        p -= row_max(p)
+        np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
-        p[rows, y] -= 1.0
-        g = scale * p
-        w.grad, b.grad = x.T @ g, g.sum(axis=0)
+        p -= one_hot
+        p *= scale
+        np.matmul(x.T, p, out=gw)
+        p.sum(axis=0, out=gb)
         opt.step()
-    return w.data, b.data
+    return w, b
 
 
 def mle_proxy(synth_train: RawTable, real_test: RawTable, space: MetricSpace,

@@ -27,28 +27,36 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self._scratch = [(buf[0, ...], buf[1, ...]) for buf in
+                         (np.empty((2,) + p.data.shape, p.data.dtype) for p in self.params)]
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        """Updates in place, with the out-of-place formula's products and sums in its order."""
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m, v, (s, u) = self.m[i], self.v[i], self._scratch[i]
+            if (g.shape, g.dtype) != (m.shape, m.dtype):  # m mirrors the parameter
+                raise ValueError(f"parameter {i}: grad {g.dtype}{g.shape} != {m.dtype}{m.shape}")
+            if not np.isfinite(g).all():
                 raise FloatingPointError("non-finite gradient in AdamW step")
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            mhat = self.m[i] / (1 - b1**t)
-            vhat = self.v[i] / (1 - b2**t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                p.data -= np.multiply(self.lr * self.weight_decay, p.data, out=s)
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            v += np.multiply(np.multiply(1 - b2, g, out=s), g, out=s)
+            # lr * mhat / (sqrt(vhat) + eps)
+            np.multiply(np.divide(m, 1 - b1**t, out=s), self.lr, out=s)
+            np.sqrt(np.divide(v, 1 - b2**t, out=u), out=u)
+            u += self.eps
+            p.data -= np.divide(s, u, out=s)
 
 
 def cosine_schedule(step: int, warmup: int, total: int, peak_lr: float) -> float:

@@ -4,19 +4,25 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from tabmt import autodiff as ad
-from tabmt.autodiff import Parameter, Tensor
+from tabmt import cli, metrics, pareto
+from tabmt.autodiff import Parameter, Tensor, row_max
 from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _continuous, _field,
                          _finite, _kmeans_1d, fit_categorical, fit_continuous)
 from tabmt.generation import _field_order, sample_field
-from tabmt.metrics import CLASSIFY, REGRESS, MetricError, _macro_f1, _train_logistic
+from tabmt.metrics import (_TINY, _U, CLASSIFY, REGRESS, MetricError, _kth_dists, _macro_f1,
+                           _screen, _sq_dists, _train_logistic)
 from tabmt.model import (CategoricalEmbedding, DynamicLinear, ModelConfig, OrderedEmbedding,
                          TabMTModel, _EncoderBlock)
 from tabmt.optim import AdamW
@@ -46,6 +52,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def load_tablegen():
+    """``perfbench/tablegen.py``, the benchmark's seeded table generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tablegen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tablegen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_toy_tokens(kind: str, seed: int = 1, n: int = N_TOY) -> TokenTable:
@@ -840,7 +856,7 @@ def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: in
     rng = np.random.default_rng(seed)
     w = Parameter(rng.normal(0, 0.01, (x.shape[1], n_classes)))
     b = Parameter(np.zeros(n_classes))
-    opt = AdamW([w, b], lr=lr, weight_decay=1e-4)
+    opt = AdamWOutOfPlace([w, b], lr=lr, weight_decay=1e-4)
     active = np.ones(len(x), dtype=bool)
     for _ in range(steps):
         opt.zero_grad()
@@ -850,6 +866,124 @@ def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: in
         loss.backward()
         opt.step()
     return w.data, b.data
+
+
+# ---- evaluation before distinct-row searches and the in-place AdamW step ----
+
+class AdamWOutOfPlace(AdamW):
+    """``AdamW`` with the out-of-place step it had before updating in place
+    (body verbatim), which let a gradient's dtype promote the moments."""
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError("non-finite gradient in AdamW step")
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            mhat = self.m[i] / (1 - b1**t)
+            vhat = self.v[i] / (1 - b2**t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def train_logistic_out_of_place(x: np.ndarray, y: np.ndarray, n_classes: int,
+                                steps: int = 300, lr: float = 0.1, seed: int = 0
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """The proxy fit with separate ``w`` and ``b`` arrays; body verbatim, on
+    ``AdamWOutOfPlace``."""
+    rng = np.random.default_rng(seed)
+    w = SimpleNamespace(data=rng.normal(0, 0.01, (x.shape[1], n_classes)), grad=None)
+    b = SimpleNamespace(data=np.zeros(n_classes), grad=None)
+    opt = AdamWOutOfPlace([w, b], lr=lr, weight_decay=1e-4)
+    rows, scale = np.arange(len(x)), 1.0 / len(x)
+    for _ in range(steps):
+        # Gradient of the mean cross entropy, in the order a tape computes it.
+        z = x @ w.data + b.data
+        p = np.exp(z - row_max(z))
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, y] -= 1.0
+        g = scale * p
+        w.grad, b.grad = x.T @ g, g.sum(axis=0)
+        opt.step()
+    return w.data, b.data
+
+
+def dcr_every_row(synth: np.ndarray, train: np.ndarray) -> float:
+    """``metrics.dcr`` searching every row, copies included (body verbatim)."""
+    synth, train = np.asarray(synth, dtype=np.float64), np.asarray(train, dtype=np.float64)
+    if synth.size == 0 or train.size == 0:
+        raise MetricError("dcr requires non-empty inputs")
+    if synth.shape[1] != train.shape[1]:
+        raise MetricError("dcr dimension mismatch")
+    if not (np.isfinite(synth).all() and np.isfinite(train).all()):
+        raise MetricError("dcr requires finite inputs")
+    return float(np.median(_kth_dists(synth, train, 1)))
+
+
+def fraction_covered_every_row(queries: np.ndarray, centers: np.ndarray,
+                               radii: np.ndarray) -> float:
+    """``metrics._fraction_covered``, which ``_covered`` replaced (body verbatim)."""
+    # sqrt(d2) <= r if d2 <= r^2, not if d2 > r^2 / (1 - u)^2; the margin spans that.
+    r2 = radii * radii
+    margin = 8 * _U * r2 + _TINY
+    hits = 0
+    for start, s2, bound in _screen(queries, centers):
+        inside = (s2 + bound[:, None] <= r2 - margin).any(axis=1)
+        unsure = ~(s2 - bound[:, None] > r2 + margin) & ~inside[:, None]
+        d2, cols = _sq_dists(queries[start:start + len(s2)], centers, unsure)
+        inside |= (np.sqrt(d2) <= radii[cols]).any(axis=1)
+        hits += int(inside.sum())
+    return hits / len(queries)
+
+
+def precision_recall_every_row(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
+                               ) -> tuple[float, float]:
+    """``metrics.precision_recall`` searching every row and every ball, copies
+    included (body verbatim, on ``fraction_covered_every_row``)."""
+    if k < 1:
+        raise MetricError(f"k must be at least 1, got k={k}")
+    real_emb = np.asarray(real_emb, dtype=np.float64)
+    synth_emb = np.asarray(synth_emb, dtype=np.float64)
+    if len(real_emb) <= k or len(synth_emb) <= k:
+        raise MetricError(f"need more than k={k} points on each side")
+    if not (np.isfinite(real_emb).all() and np.isfinite(synth_emb).all()):
+        raise MetricError("precision_recall requires finite embeddings")
+    if (real_emb == real_emb[0]).all() or (synth_emb == synth_emb[0]).all():
+        raise MetricError("degenerate (all-identical) embeddings")
+    # Each point is its own nearest neighbour, at distance exactly 0.
+    real_r = _kth_dists(real_emb, real_emb, k + 1)
+    synth_r = _kth_dists(synth_emb, synth_emb, k + 1)
+    precision = fraction_covered_every_row(synth_emb, real_emb, real_r)
+    recall = fraction_covered_every_row(real_emb, synth_emb, synth_r)
+    return precision, recall
+
+
+@contextlib.contextmanager
+def evaluation_every_row():
+    """Run ``dcr``, ``precision_recall``, the proxy fit and every ``AdamW``
+    step inside the block as they were before distinct-row searches and the
+    in-place step, wherever a module imported them."""
+    patches = [(metrics, "dcr", dcr_every_row), (cli, "dcr", dcr_every_row),
+               (pareto, "dcr", dcr_every_row),
+               (metrics, "precision_recall", precision_recall_every_row),
+               (cli, "precision_recall", precision_recall_every_row),
+               (metrics, "_train_logistic", train_logistic_out_of_place),
+               (AdamW, "step", AdamWOutOfPlace.step)]
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, fn in patches:
+        setattr(owner, name, fn)
+    try:
+        yield
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
 
 
 # ---- autodiff: test-only ops and the kernels the blocked ones replaced ----

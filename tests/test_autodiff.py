@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grad_check, mean
+from conftest import AdamWOutOfPlace, grad_check, mean
 from tabmt import autodiff as ad
 from tabmt.autodiff import Parameter, Tensor
 from tabmt.optim import AdamW, cosine_schedule
@@ -174,6 +174,39 @@ class TestAdamW:
         p.grad = np.array([np.nan])
         with pytest.raises(FloatingPointError):
             opt.step()
+
+    @pytest.mark.parametrize("grad", [np.ones(3), np.ones((1, 3), np.float32),
+                                      np.ones(2, np.float32)],
+                             ids=["float64-on-float32", "shape-1x3", "shape-2"])
+    def test_mismatched_gradient_errors(self, grad):
+        # An out-of-place step let a float64 gradient turn a float32
+        # parameter's moments into float64.
+        ok = Parameter(np.zeros(2, np.float32))
+        p = Parameter(np.zeros(3, np.float32))
+        opt = AdamW([ok, p], lr=0.1)
+        ok.grad, p.grad = np.ones(2, np.float32), grad
+        with pytest.raises(ValueError, match=r"^parameter 1: grad float"):
+            opt.step()
+        assert opt.m[1].dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_matches_out_of_place_step(self, dtype, weight_decay):
+        shapes = [(), (5,), (4, 3), (2, 3, 4)]
+        runs = []
+        for cls in (AdamW, AdamWOutOfPlace):
+            init = np.random.default_rng(4)
+            params = [Parameter(init.normal(size=s).astype(dtype)) for s in shapes]
+            opt = cls(params, lr=0.05, weight_decay=weight_decay)
+            grads = np.random.default_rng(5)
+            for step in range(12):
+                opt.lr = 0.05 * (1 + step) / 12
+                for p in params:
+                    p.grad = None if step == 3 else grads.normal(size=p.data.shape).astype(dtype)
+                opt.step()
+            runs.append([p.data.tobytes() for p in params] + [m.tobytes() for m in opt.m]
+                        + [v.tobytes() for v in opt.v])
+        assert runs[0] == runs[1]
 
 
 class TestCosineSchedule:

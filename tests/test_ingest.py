@@ -6,31 +6,16 @@
 center bytes, tokens, missing masks and CSV bytes, or the same error.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from conftest import (decode_table_rowwise, encode_table_rowwise, fit_codecs_rowwise,
-                      load_csv_rowwise, write_csv_rowwise)
+                      load_csv_rowwise, load_tablegen, write_csv_rowwise)
 from tabmt import schema as tschema
 from tabmt.codec import (CategoricalCodec, decode_table, encode_table, fit_categorical,
                          fit_codecs, fit_continuous)
 from tabmt.schema import (CATEGORICAL, CONTINUOUS, MISSING, FieldSchema, RawTable,
                           SchemaError, TableSchema, TokenTable, load_csv, load_schema, write_csv)
-
-TABLEGEN = Path(__file__).resolve().parents[1] / "perfbench" / "tablegen.py"
-
-
-def load_tablegen():
-    spec = importlib.util.spec_from_file_location("perfbench_tablegen", TABLEGEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
 
 tablegen = load_tablegen()
 

@@ -11,9 +11,12 @@ from conftest import (
     brute_precision_recall,
     correlation_error_histogram_dense,
     correlation_errors_dense,
+    dcr_every_row,
     explicit_min_dists,
     metric_features_by_lookup,
     mle_proxy_by_lookup,
+    precision_recall_every_row,
+    train_logistic_out_of_place,
     train_logistic_taped,
 )
 from tabmt import metrics
@@ -420,6 +423,81 @@ class TestExactOnAdversarialClouds:
         assert_exact(real, synth)
 
 
+class TestMultiplicities:
+    """Searches run once per distinct row; every copy still counts."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_copies_around_k(self, k, extra):
+        # A point with k copies is searched; with k + 1 or more its radius is 0.
+        rng = np.random.default_rng(20 + extra)
+        real, synth = rng.normal(size=(30, 3)), rng.normal(size=(25, 3))
+        copies = k + extra
+        real = np.concatenate([real, np.repeat(real[:2], copies, axis=0)])
+        synth = np.concatenate([synth, np.repeat(synth[:1], copies, axis=0),
+                                np.repeat(real[:1], copies, axis=0)])
+        assert_exact(real, synth, k)
+        assert_same_as_every_row(real, synth, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_more_rows_than_k_but_at_most_k_distinct(self, k):
+        rng = np.random.default_rng(30 + k)
+        points = rng.normal(size=(k, 2))
+        real = points[[0] + [1] * (k + 3) + list(range(k))]
+        synth = np.concatenate([points[[1, 1]], rng.normal(size=(k + 1, 2))])
+        assert len(real) > k and len(np.unique(real, axis=0)) <= k
+        assert_exact(real, synth, k)
+        assert_same_as_every_row(real, synth, k)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_duplicated_ball_centres(self, offset):
+        # Every real point twice: with k = 3 the radii of 0, 1, 2, 3 are
+        # 1, 1, 1, 1, so -1 and 4 lie exactly on a ball's boundary.
+        real = np.repeat(np.array([[0.0], [1.0], [2.0], [3.0]]), 2, axis=0) + offset
+        synth = np.array([[-1.0], [4.0], [-1.0], [np.nextafter(4.0 + offset, np.inf) - offset],
+                          [1.5], [1.5], [7.0]]) + offset
+        assert precision_recall(real, synth, k=3)[0] == 5 / 7
+        assert_exact(real, synth)
+        assert_same_as_every_row(real, synth)
+
+    def test_copies_straddle_a_screen_block(self):
+        # 2,048 reference rows make a screen block 128 query rows; the
+        # copies sit at rows 127 and 128, 255 and 256.
+        rng = np.random.default_rng(40)
+        train = rng.normal(size=(2048, 4))
+        assert metrics._BLOCK // len(train) == 128
+        synth = rng.normal(size=(300, 4))
+        synth[[128, 256]] = synth[[127, 255]]
+        synth[[10, 140]] = train[5]
+        assert dcr(synth, train) == brute_dcr(synth, train)
+        assert dcr(synth, train) == dcr_every_row(synth, train)
+        # 600 points make a block 436 rows, for the radii and the coverage.
+        real, synth = rng.normal(size=(600, 3)), rng.normal(size=(600, 3))
+        assert metrics._BLOCK // len(real) == 436
+        real[[436, 437]] = real[435]
+        synth[[436, 500]] = synth[435]
+        synth[428] = real[435]
+        assert precision_recall(real, synth) == brute_precision_recall(real, synth)
+        assert_same_as_every_row(real, synth)
+
+    def test_all_tied_one_hot_clouds(self):
+        # Two one-hot values in 1,500 x 1,500 rows (d = 10): every radius is
+        # 0 and every distance ties with many others.
+        rng = np.random.default_rng(41)
+        real = np.eye(10)[rng.choice([2, 7], 1500)]
+        synth = np.eye(10)[rng.choice([2, 7], 1500)]
+        assert dcr(synth, real) == brute_dcr(synth, real) == 0.0
+        assert precision_recall(real, synth) == brute_precision_recall(real, synth)
+        assert_same_as_every_row(real, synth)
+
+
+def assert_same_as_every_row(real, synth, k=3):
+    """dcr and precision/recall equal the searches over every row."""
+    assert dcr(synth, real) == dcr_every_row(synth, real)
+    assert dcr(real, synth) == dcr_every_row(real, synth)
+    assert precision_recall(real, synth, k) == precision_recall_every_row(real, synth, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_matches_brute_force_on_grid_clouds(data):
@@ -453,6 +531,16 @@ class TestTrainLogistic:
         w, b = metrics._train_logistic(x, y, classes, seed=3)
         w_ref, b_ref = train_logistic_taped(x, y, classes, seed=3)
         assert np.array_equal(w, w_ref) and np.array_equal(b, b_ref)
+
+    @pytest.mark.parametrize("n, dim, classes", [(500, 5, 4), (24, 265, 10), (16, 1043, 4),
+                                                 (40, 0, 3), (30, 7, 1)])
+    def test_matches_out_of_place_fit(self, n, dim, classes):
+        rng = np.random.default_rng(n + dim)
+        x, y = rng.normal(size=(n, dim)), rng.integers(0, classes, n)
+        w, b = metrics._train_logistic(x, y, classes, steps=120, seed=4)
+        w_ref, b_ref = train_logistic_out_of_place(x, y, classes, steps=120, seed=4)
+        assert (w.shape, w.tobytes(), b.tobytes()) == (w_ref.shape, w_ref.tobytes(),
+                                                       b_ref.tobytes())
 
 
 def mixed_tables(seed, n_train=120, n_test=60, blank=0.15):
