@@ -5,10 +5,12 @@ matmul (2-D and batched), a fused linear layer, a fused feed-forward
 layer (``ffn``: linear, GELU, dropout mask, linear), broadcast
 add/multiply, softmax, layer norm, GELU, sigmoid, dropout/drop-path,
 embedding lookup (one table, or one per column), stack/select and a
-fused masked cross entropy. Tapes are dynamic: an op whose input requires
-grad gives its output a ``Node`` beside ``.data``, and ``Tensor.backward``
-walks the nodes in reverse topological order. Inside ``no_grad()`` ops
-record no tape, so inference keeps nothing alive.
+fused masked cross entropy. The linear and feed-forward layers run on the
+input's (rows, d) view, so they take any leading shape. Tapes are dynamic:
+an op whose input requires grad gives its output a ``Node`` beside
+``.data``, and ``Tensor.backward`` walks the nodes in reverse topological
+order. Inside ``no_grad()`` ops record no tape, so inference keeps nothing
+alive.
 
 A node holds a gradient slot, its parents' nodes and a backward closure.
 The closure keeps the parents' shapes and exactly the arrays it reads,
@@ -33,6 +35,8 @@ same order to each row, and every reduction runs along one row, so the
 bits do not depend on the block size. The first gradient a node receives
 is kept without a copy when it is C-contiguous; other views are copied,
 because their layout would change the order of a later sum.
+``softmax_rows`` is the one row softmax of the package, and
+``distinct_rows`` the one finder of distinct rows.
 
 Training runs in float32 by default; gradient checking uses float64.
 """
@@ -260,24 +264,26 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b) -> Tensor:
-    """``add(matmul(x, w), b)`` for 2-D ``x`` as one op, which adds the bias
-    in place into the fresh product."""
+    """``add(matmul(x, w), b)`` as one op on x's (rows, d) view, which adds the
+    bias in place into the fresh product; the output has x's leading shape."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    out_data = np.matmul(x.data, w.data)
+    rows, sx = _rows(x.data), x.data.shape
+    out_data = np.matmul(rows, w.data)
     out_data += b.data
     nx, nw, nb = _node(x), _node(w), _node(b)
-    xx = x.data if nw is not None else None
+    xx = rows if nw is not None else None
     xw = w.data if nx is not None else None
 
     def backward(g):
+        g = _rows(g)
         if nx is not None:
-            _accum(nx, np.matmul(g, xw.T))
+            _accum(nx, np.matmul(g, xw.T).reshape(sx))
         if nw is not None:
             _accum(nw, np.matmul(xx.T, g))
         if nb is not None:
             _accum(nb, g.sum(axis=0))
 
-    return _make(out_data, (x, w, b), backward)
+    return _make(out_data.reshape(sx[:-1] + w.data.shape[1:]), (x, w, b), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -411,14 +417,21 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return m[:, None]
 
 
+def softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of each row of the 2-D ``x``, exp(x - row max) / row sum,
+    written into ``out`` one row block at a time; ``out`` may be ``x``."""
+    for sl in _blocks(*x.shape):
+        o = np.subtract(x[sl], row_max(x[sl]), out=out[sl])
+        np.exp(o, out=o)
+        o /= np.add.reduce(o, axis=-1, keepdims=True)
+    return out
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = _as_tensor(a)
     x = _rows(a.data)
-    out = np.empty_like(x)
-    for sl in _blocks(*x.shape):
-        e = np.exp(x[sl] - row_max(x[sl]))
-        np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out[sl])
+    out = softmax_rows(x, np.empty_like(x))
     na, sa = a.node, a.data.shape
 
     def backward(g):
@@ -512,8 +525,9 @@ def gelu(a) -> Tensor:
 
 
 def ffn(x, w1, b1, w2, b2, keep=None) -> Tensor:
-    """``linear(mul(gelu(linear(x, w1, b1)), keep), w2, b2)`` for 2-D ``x``
-    as one op; ``keep`` is a dropout mask, or None for none.
+    """``linear(mul(gelu(linear(x, w1, b1)), keep), w2, b2)`` as one op on
+    x's (rows, d) view, like ``linear``; ``keep`` is a dropout mask over the
+    hidden layer, or None for none.
 
     The tape keeps the input and the pre-activation h, not the activation
     or its tanh: backward recomputes both from h one row block at a time.
@@ -522,8 +536,11 @@ def ffn(x, w1, b1, w2, b2, keep=None) -> Tensor:
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     nx, nw1, nb1, nw2, nb2 = (_node(t) for t in (x, w1, b1, w2, b2))
     taped = _grad_enabled and any(n is not None for n in (nx, nw1, nb1, nw2, nb2))
-    h = np.matmul(x.data, w1.data)
+    rows, sx = _rows(x.data), x.data.shape
+    h = np.matmul(rows, w1.data)
     h += b1.data
+    if keep is not None:
+        keep = keep.reshape(h.shape)
     act = np.empty_like(h) if taped else h
     t, u = _scratch(2, h)
     for sl in _blocks(*h.shape):
@@ -535,11 +552,12 @@ def ffn(x, w1, b1, w2, b2, keep=None) -> Tensor:
     out_data += b2.data
     # h's gradient flows on when x, w1 or b1 needs one.
     into_h = nx is not None or nw1 is not None or nb1 is not None
-    xx = x.data if nw1 is not None else None
+    xx = rows if nw1 is not None else None
     xw1 = w1.data if nx is not None else None
     xw2 = w2.data if into_h else None
 
     def backward(g):
+        g = _rows(g)
         # Two (rows, 4 * width) buffers at most: h's gradient, written in
         # place over g @ w2.T, and the recomputed activation w2's gradient reads.
         gh = np.matmul(g, xw2.T) if into_h else None
@@ -562,13 +580,13 @@ def ffn(x, w1, b1, w2, b2, keep=None) -> Tensor:
         if nb2 is not None:
             _accum(nb2, g.sum(axis=0))
         if nx is not None:
-            _accum(nx, np.matmul(gh, xw1.T))
+            _accum(nx, np.matmul(gh, xw1.T).reshape(sx))
         if nw1 is not None:
             _accum(nw1, np.matmul(xx.T, gh))
         if nb1 is not None:
             _accum(nb1, gh.sum(axis=0))
 
-    return _make(out_data, (x, w1, b1, w2, b2), backward)
+    return _make(out_data.reshape(sx[:-1] + w2.data.shape[1:]), (x, w1, b1, w2, b2), backward)
 
 
 def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -657,10 +675,17 @@ def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:
     nz = logits.node
 
     def backward(g):
-        p = np.exp(z - zmax)
-        p /= p.sum(axis=1, keepdims=True)
+        p = softmax_rows(z, np.empty_like(z))
         p[np.arange(n), safe_t] -= 1.0
         p[~active] = 0.0
         _accum(nz, g * p)
 
     return _make(out_data, (logits,), backward), count
+
+
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct row's first index in the 2-D ``x``, each row's index among
+    them, and their counts; rows compare as bytes, faster than ``axis=0``."""
+    x = np.ascontiguousarray(x)
+    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+    return np.unique(rows, return_index=True, return_inverse=True, return_counts=True)[1:]

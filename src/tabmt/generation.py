@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import row_max
+from .autodiff import softmax_rows
 from .model import TabMTModel, distinct_states
 from .schema import TokenTable
 
@@ -43,10 +43,7 @@ def sample_field(logits: np.ndarray, tau_u: float, rng: np.random.Generator
     if tau_u < ARGMAX_TAU:
         return np.argmax(logits, axis=-1)
     z = logits / tau_u
-    z -= row_max(z)
-    p = np.exp(z)
-    p /= p.sum(axis=-1, keepdims=True)
-    cdf = np.cumsum(p, axis=-1)
+    cdf = np.cumsum(softmax_rows(z, z), axis=-1)
     u = rng.random((logits.shape[0], 1))
     return np.minimum((u >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
 

@@ -13,16 +13,15 @@ both tables; every pair with a column constant in either counts as 0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .autodiff import row_max
+from .autodiff import distinct_rows, softmax_rows
 from .codec import CategoricalCodec, ContinuousCodec, FieldCodec, observed_cells
 from .optim import AdamW
-from .schema import RawTable
+from .schema import RawTable, write_rows
 
 
 class MetricError(ValueError):
@@ -130,14 +129,6 @@ def _kth_dists(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _distinct(x: np.ndarray):
-    """Distinct rows (compared as bytes, faster than axis=0), each row's index in them, counts."""
-    x = np.ascontiguousarray(x)
-    rows = x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
-    _, first, inverse, counts = np.unique(rows, True, True, True)  # index, inverse, counts
-    return x[first], inverse, counts
-
-
 def dcr(synth: np.ndarray, train: np.ndarray) -> float:
     """Median Euclidean distance from each synthetic row to its nearest
     training row. Zero means memorization; higher is more private."""
@@ -148,8 +139,8 @@ def dcr(synth: np.ndarray, train: np.ndarray) -> float:
         raise MetricError("dcr dimension mismatch")
     if not (np.isfinite(synth).all() and np.isfinite(train).all()):
         raise MetricError("dcr requires finite inputs")
-    queries, inverse, _ = _distinct(synth)
-    return float(np.median(_kth_dists(queries, train, 1)[inverse]))
+    first, inverse, _ = distinct_rows(synth)
+    return float(np.median(_kth_dists(synth[first], train, 1)[inverse]))
 
 
 def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
@@ -180,11 +171,8 @@ def correlation_error_histogram(real: np.ndarray, synth: np.ndarray,
 
 
 def write_histogram_csv(counts: np.ndarray, edges: np.ndarray, path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}", int(c)])
+    write_rows(path, ["bin_left", "bin_right", "count"],
+               ([f"{edges[i]:.6g}", f"{edges[i + 1]:.6g}", int(c)] for i, c in enumerate(counts)))
 
 
 def diversity(synth_tokens: np.ndarray, real_tokens: np.ndarray) -> float:
@@ -218,7 +206,8 @@ def _fraction_covered(queries: np.ndarray, counts: np.ndarray, centers: np.ndarr
 def _balls(cloud: np.ndarray, k: int):
     """The distinct points of ``cloud``, their counts, and the distance from each to its
     (k + 1)-th nearest row of ``cloud``, where it and its copies are at exactly 0."""
-    points, _, counts = _distinct(cloud)
+    first, _, counts = distinct_rows(cloud)
+    points = cloud[first]
     radii = np.zeros(len(points))
     radii[counts <= k] = _kth_dists(points[counts <= k], cloud, k + 1)
     return points, counts, radii
@@ -277,9 +266,7 @@ def _train_logistic(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 3
     for _ in range(steps):
         # Gradient of the mean cross entropy, in the order a tape computes it.
         np.add(np.matmul(x, w, out=p), b, out=p)
-        p -= row_max(p)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        softmax_rows(p, p)
         p -= one_hot
         p *= scale
         np.matmul(x.T, p, out=gw)

@@ -131,28 +131,25 @@ class _EncoderBlock(_Module):
         ``rows`` of x's (n·l, d) view, or at every position when ``rows`` is
         None (q = l); returns (n, q, d).
 
-        The projections run on (n·l, d) rows, q's on the query rows only.
+        The projections run on every token, q's on the query tokens only.
         q and v are viewed as (n, h, q or l, dh) and k as (n, h, dh, l), so
         the (n, h, q, l) scores and the (n, h, q, dh) context are each one
-        product batched over (row, head). The context goes back to (n·q, d)
-        for the output projection.
+        product batched over (row, head). The context's heads merge back
+        into (n, q, d) for the output projection.
         """
         n, l, d = x.shape
         h, dh = self.heads, d // self.heads
-        flat = ad.reshape(x, (n * l, d))
-        lq = l if rows is None else rows.shape[1]
-        queries = flat if rows is None else ad.gather_rows(flat, rows.reshape(-1))
-        q, k, v = (ad.transpose(ad.reshape(ad.linear(t, w, b), (n, m, h, dh)), axes)
-                   for t, m, w, b, axes in ((queries, lq, self.wq, self.bq, (0, 2, 1, 3)),
-                                            (flat, l, self.wk, self.bk, (0, 2, 3, 1)),
-                                            (flat, l, self.wv, self.bv, (0, 2, 1, 3))))
+        queries = x if rows is None else ad.gather_rows(ad.reshape(x, (n * l, d)), rows)
+        q, k, v = (ad.transpose(ad.reshape(ad.linear(t, w, b), t.shape[:2] + (h, dh)), axes)
+                   for t, w, b, axes in ((queries, self.wq, self.bq, (0, 2, 1, 3)),
+                                         (x, self.wk, self.bk, (0, 2, 3, 1)),
+                                         (x, self.wv, self.bv, (0, 2, 1, 3))))
         # A Python float, not a numpy float64 scalar, so that NumPy 2
         # promotion keeps the activations in the model dtype.
         scores = ad.scale(ad.matmul(q, k), 1.0 / math.sqrt(dh))
         attn = ad.dropout(ad.softmax(scores), self.dropout, rng, training)
         ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
-        out = ad.linear(ad.reshape(ctx, (n * lq, d)), self.wo, self.bo)
-        return ad.reshape(out, (n, lq, d))
+        return ad.linear(ad.reshape(ctx, queries.shape), self.wo, self.bo)
 
     def forward(self, x: Tensor, rng, training, at=None) -> Tensor:
         """The block on (n, l, d) tokens; returns (n, q, d), the outputs at
@@ -172,13 +169,11 @@ class _EncoderBlock(_Module):
             x = ad.gather_rows(ad.reshape(x, (n * l, d)), rows)
         x = ad.add(x, ad.drop_path(a, self.drop_path, rng, training))
         f = ad.layer_norm(x, self.ln2_g, self.ln2_b)
-        n, q, d = f.shape
         # The FFN's dropout mask, drawn after the attention branch's draws and
         # before the FFN's drop_path: the draw order fixes tokens per seed.
-        keep = ad.dropout_mask((n * q, self.w1.shape[1]), f.dtype, self.dropout, rng,
-                               training)
-        f = ad.ffn(ad.reshape(f, (n * q, d)), self.w1, self.b1, self.w2, self.b2, keep)
-        f = ad.reshape(f, (n, q, d))
+        keep = ad.dropout_mask(f.shape[:-1] + self.w1.shape[1:], f.dtype, self.dropout,
+                               rng, training)
+        f = ad.ffn(f, self.w1, self.b1, self.w2, self.b2, keep)
         return ad.add(x, ad.drop_path(f, self.drop_path, rng, training))
 
 
@@ -186,9 +181,7 @@ def distinct_states(tokens: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, n
     """One row index per distinct (tokens, mask) row state, and each row's
     state. A masked cell's token does not count; at inference a row's
     outputs depend on its own state only, so they are computed once per state."""
-    key = np.ascontiguousarray(np.where(mask, -1, tokens), dtype=np.int64)
-    states = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, first, inverse = np.unique(states, return_index=True, return_inverse=True)
+    first, inverse, _ = ad.distinct_rows(np.where(mask, -1, tokens))
     return first, inverse
 
 

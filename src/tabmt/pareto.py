@@ -7,7 +7,6 @@ privacy/quality Pareto front.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .codec import decode_table
 from .generation import GenerationSpec, generate
 from .metrics import MetricSpace, dcr, mle_proxy
 from .model import TabMTModel
-from .schema import RawTable
+from .schema import RawTable, write_rows
 
 TEMP_LO = 0.5
 TEMP_HI = 5.0
@@ -201,9 +200,6 @@ def write_front_csv(front: list[TempCandidate], path: str):
     if not front:
         raise ValueError("empty Pareto front")
     l = len(front[0].temps)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"temp_{j + 1}" for j in range(l)] + ["dcr", "quality"])
-        for c in front:
-            writer.writerow([f"{t:.6g}" for t in c.temps]
-                            + [f"{c.dcr:.6g}", f"{c.quality:.6g}"])
+    write_rows(path, [f"temp_{j + 1}" for j in range(l)] + ["dcr", "quality"],
+               ([f"{t:.6g}" for t in c.temps] + [f"{c.dcr:.6g}", f"{c.quality:.6g}"]
+                for c in front))

@@ -228,12 +228,17 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
     return RawTable(schema=schema, columns=columns)
 
 
-def write_csv(table: RawTable, path: str, missing_marker: str = ""):
-    columns = [[missing_marker if c is MISSING else c for c in col] for col in table.columns]
+def write_rows(path: str, header: list, rows):
+    """A CSV file of the ``header`` line, then one line per item of ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table.schema.names)
-        writer.writerows(zip(*columns))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_csv(table: RawTable, path: str, missing_marker: str = ""):
+    columns = [[missing_marker if c is MISSING else c for c in col] for col in table.columns]
+    write_rows(path, table.schema.names, zip(*columns))
 
 
 def infer_schema(path: str, max_bins: int = 100, missing_marker: str = "",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -11,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import TabMTModel
 from .optim import AdamW, cosine_schedule
-from .schema import TokenTable
+from .schema import TokenTable, write_rows
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,5 @@ def train(model: TabMTModel, table: TokenTable, config: TrainConfig
 
 
 def write_loss_history(history: list[tuple[int, float, float]], path: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "lr", "loss"])
-        for step, lr, loss in history:
-            writer.writerow([step, f"{lr:.10g}", f"{loss:.10g}"])
+    write_rows(path, ["step", "lr", "loss"],
+               ([step, f"{lr:.10g}", f"{loss:.10g}"] for step, lr, loss in history))

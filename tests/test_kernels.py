@@ -1,6 +1,8 @@
 """The row-blocked softmax, GELU and layer norm, ``ad.linear``, ``ad.ffn``,
 the column-loop ``ad.row_max`` and the copy-free ``_accum`` give the bits
-of the kernels they replaced."""
+of the kernels they replaced. The dense ops give on (n, l, d) input what
+they give on (n·l, d), ``ad.softmax_rows`` gives each row softmax it
+replaced, and ``ad.distinct_rows`` agrees with ``np.unique(axis=0)``."""
 
 import tracemalloc
 
@@ -291,3 +293,132 @@ def test_training_step_matches_oracle(l, seed, dropout, dtype):
     for got, exp in zip(logits + single, want[2] + want[3]):
         assert_same(got, exp)
     assert_same(emb, want[4])
+
+
+def leading_inputs(layout, dtype, seed=5, n=7, l=5, d=16, k=40):
+    """An (n, l, d) input, C-contiguous or a strided view, and x, w1, b1, w2
+    and b2 of a feed-forward layer of hidden width k around it."""
+    rng = np.random.default_rng(seed)
+    if layout == "contiguous":
+        x = rng.standard_normal((n, l, d))
+    else:
+        x = rng.standard_normal((l, n, 2 * d)).transpose(1, 0, 2)[:, :, ::2]
+    arrays = [x, rng.standard_normal((d, k)) * 0.5, rng.standard_normal(k) * 0.5,
+              rng.standard_normal((k, d)) * 0.2, rng.standard_normal(d) * 0.1]
+    return [a.astype(dtype, copy=False) for a in arrays], rng
+
+
+def taped(op, arrays, upstream, frozen=(), **kwargs):
+    """``op``'s output and each input's gradient after ``upstream`` flows into
+    the output; the inputs at the indices in ``frozen`` need none."""
+    ts = [Tensor(a) if i in frozen else Parameter(a) for i, a in enumerate(arrays)]
+    out = op(*ts, **kwargs)
+    ad.matmul(ad.reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1))).backward()
+    return out.data, [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_dense_ops_take_any_leading_shape(layout, dtype):
+    """``linear`` and ``ffn`` on (n, l, d) input, contiguous or a strided view,
+    give the values and every gradient of the call on the (n·l, d) input."""
+    arrays, rng = leading_inputs(layout, dtype)
+    x = arrays[0]
+    assert x.flags.c_contiguous == (layout == "contiguous")
+    flat = [x.reshape(-1, x.shape[-1])] + arrays[1:]
+    k = arrays[1].shape[1]
+    for op, n_args, width in ((ad.linear, 3, k), (ad.ffn, 5, x.shape[-1])):
+        upstream = rng.standard_normal(x.shape[:-1] + (width,)).astype(dtype)
+        for drop in ((0.0,) if op is ad.linear else (0.0, 0.1)):
+            keep = ad.dropout_mask(x.shape[:-1] + (k,), np.dtype(dtype), drop, rng, True)
+            kw, flat_kw = {}, {}
+            if op is ad.ffn:
+                kw["keep"] = keep
+                flat_kw["keep"] = None if keep is None else keep.reshape(-1, k)
+            for frozen in ((), (0,)):
+                out, grads = taped(op, arrays[:n_args], upstream, frozen, **kw)
+                want, want_grads = taped(op, flat[:n_args], upstream, frozen, **flat_kw)
+                assert out.shape == x.shape[:-1] + (width,)
+                assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+                assert (grads[0] is None) == (0 in frozen)
+                if grads[0] is not None:
+                    assert grads[0].shape == x.shape
+                    assert grads[0].tobytes() == want_grads[0].tobytes()
+                for g, w in zip(grads[1:], want_grads[1:]):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            with ad.no_grad():
+                out = op(*[Tensor(a) for a in arrays[:n_args]], **kw).data
+            assert out.tobytes() == want.tobytes()
+
+
+# The row softmax each caller wrote out before ``ad.softmax_rows``, verbatim.
+
+def softmax_op_rows(x):
+    out = np.empty_like(x)
+    for sl in ad._blocks(*x.shape):
+        e = np.exp(x[sl] - ad.row_max(x[sl]))
+        np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out[sl])
+    return out
+
+
+def cross_entropy_grad_rows(z):
+    zmax = ad.row_max(z)
+    p = np.exp(z - zmax)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def sample_field_rows(z):
+    z = z.copy()
+    z -= ad.row_max(z)
+    p = np.exp(z)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def train_logistic_rows(p):
+    p = p.copy()
+    p -= ad.row_max(p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(500, 4), (512, 1000), (1, 5), (4096, 16), (4097, 16),
+                                   (66, 1000)], ids=str)
+def test_softmax_rows_matches_each_formula(shape, dtype):
+    """``ad.softmax_rows`` gives the bits of every formula it replaced, into a
+    new array and in place, on shapes at and across a row block's edge."""
+    assert ad._block_rows(16) == 4096 and ad._block_rows(1000) == 65
+    x = (np.random.default_rng(shape[0]).standard_normal(shape) * 6).astype(dtype)
+    x[0, 0] = x[0, -1]  # a tied maximum
+    got = ad.softmax_rows(x, np.empty_like(x))
+    inplace = x.copy()
+    assert ad.softmax_rows(inplace, inplace) is inplace
+    for formula in (softmax_op_rows, cross_entropy_grad_rows, sample_field_rows,
+                    train_logistic_rows):
+        want = formula(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), formula.__name__
+        assert inplace.tobytes() == want.tobytes(), formula.__name__
+
+
+def distinct_cases():
+    rng = np.random.default_rng(9)
+    return {"ints": rng.integers(-2, 3, (300, 3)),
+            "floats": rng.integers(0, 3, (200, 4)) * 0.1,
+            "one row": rng.standard_normal((1, 5)),
+            "all equal": np.full((50, 3), 7, dtype=np.int64),
+            "column": rng.integers(0, 4, (40, 1)).astype(np.int32)}
+
+
+@pytest.mark.parametrize("name", sorted(distinct_cases()))
+def test_distinct_rows_agrees_with_unique(name):
+    """``ad.distinct_rows`` finds the rows and counts ``np.unique(axis=0)``
+    finds; ``first`` is each one's first copy and ``inverse`` maps back."""
+    x = distinct_cases()[name]
+    first, inverse, counts = ad.distinct_rows(x)
+    rows, want_counts = np.unique(x, axis=0, return_counts=True)
+    assert dict(zip(map(tuple, x[first]), counts)) == dict(zip(map(tuple, rows), want_counts))
+    assert np.array_equal(x[first][inverse], x)
+    assert all(np.flatnonzero((x == x[i]).all(axis=1))[0] == i for i in first)

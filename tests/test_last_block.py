@@ -71,7 +71,8 @@ def ffn_rows(fn) -> list[int]:
     ffn = ad.ffn
 
     def counted(x, *args, **kwargs):
-        rows.append(ad._as_tensor(x).shape[0])
+        x = ad._as_tensor(x)
+        rows.append(x.data.size // x.shape[-1])
         return ffn(x, *args, **kwargs)
 
     ad.ffn = counted
