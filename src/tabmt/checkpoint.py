@@ -61,18 +61,6 @@ def save_checkpoint(path: str, model: TabMTModel, schema: TableSchema | None,
     os.replace(tmp, path)
 
 
-def _check_layout(params: list[dict], blob_len: int):
-    """Parameters must tile the blob exactly, in order from offset 0."""
-    offset = 0
-    for pm in params:
-        size = int(np.prod(pm["shape"])) * np.dtype(pm["dtype"]).itemsize
-        if pm["nbytes"] != size or pm["offset"] != offset:
-            raise CheckpointError(f"parameter {pm['name']}: bad offset or size")
-        offset += size
-    if offset != blob_len:
-        raise CheckpointError(f"blob is {blob_len} bytes, header lists {offset}")
-
-
 def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -88,22 +76,34 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob = memoryview(data)[start + hlen:]
-    _check_layout(header["params"], len(blob))
-    codecs = [codec_from_json(c) for c in header["codecs"]]
-    cfg = ModelConfig(**header["model_config"])
-    model = TabMTModel(codecs, cfg, seed=header["seed"])
-    named = dict(model.named_parameters())
-    if set(named) != {pm["name"] for pm in header["params"]}:
-        raise CheckpointError("parameter names do not match model topology")
-    for pm in header["params"]:
-        want = named[pm["name"]].data
-        if tuple(pm["shape"]) != want.shape or np.dtype(pm["dtype"]) != want.dtype:
-            raise CheckpointError(f"parameter {pm['name']}: shape or dtype does not match the model")
-        dt = np.dtype(pm["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(blob, dtype=dt, count=int(np.prod(pm["shape"])),
-                            offset=pm["offset"])
-        # astype copies out of the read-only file buffer; that copy is the parameter.
-        named[pm["name"]].data = arr.reshape(pm["shape"]).astype(np.dtype(pm["dtype"]))
-    schema = (TableSchema.from_json(header["schema"])
-              if header["schema"] is not None else None)
+    try:
+        codecs = [codec_from_json(c) for c in header["codecs"]]
+        model = TabMTModel(codecs, ModelConfig(**header["model_config"]), seed=header["seed"])
+        named = model.named_parameters()
+        params = header["params"]
+        if [pm["name"] for pm in params] != [name for name, _ in named]:
+            raise CheckpointError("parameter names do not match model topology")
+        size = sum(p.data.nbytes for _, p in named)
+        if len(blob) != size:
+            raise CheckpointError(f"blob is {len(blob)} bytes, the parameters take {size}")
+        # Each parameter has the model's shape and dtype, and starts where the last ends.
+        offset = 0
+        for pm, (name, p) in zip(params, named):
+            want = p.data
+            for key, value in (("shape", list(want.shape)), ("dtype", str(want.dtype)),
+                               ("offset", offset), ("nbytes", want.nbytes)):
+                if pm[key] != value:
+                    raise CheckpointError(f"parameter {name}: {key} is {pm[key]!r}, "
+                                          f"expected {value!r}")
+            arr = np.frombuffer(blob, dtype=want.dtype.newbyteorder("<"), count=want.size,
+                                offset=offset)
+            # astype copies out of the read-only file buffer; that copy is the parameter.
+            p.data = arr.reshape(want.shape).astype(want.dtype)
+            offset += want.nbytes
+        schema = (TableSchema.from_json(header["schema"])
+                  if header["schema"] is not None else None)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return model, schema, header

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import ipaddress
 import json
 import sys
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .codec import CategoricalCodec, decode_table, encode_table, fit_codecs
-from .flowcheck import FlowError, FlowRecord, check_invariants, decompose_timestamp
+from .flowcheck import check_invariants, read_flows
 from .generation import GenerationSpec, generate, impute
 from .metrics import (
     CLASSIFY,
@@ -247,49 +246,8 @@ def _cmd_pareto(args) -> int:
     return 0
 
 
-_FLOW_COLUMNS = ["timestamp", "src_ip", "dst_ip", "protocol", "src_port",
-                 "dst_port", "duration", "bytes", "packets", "flags", "tos"]
-
-
-def _ip(raw: str) -> str:
-    ipaddress.ip_address(raw)  # raises ValueError on a malformed address
-    return raw
-
-
-# Each non-text column's parser; a ValueError from one names the cell.
-_FLOW_PARSERS = {"src_ip": _ip, "dst_ip": _ip, "src_port": int, "dst_port": int,
-                 "duration": float, "bytes": int, "packets": int, "tos": int}
-
-
-def _flow_record(row: dict) -> FlowRecord:
-    cells = {}
-    for column in _FLOW_COLUMNS:
-        raw = row[column]
-        if raw is None:
-            raise FlowError(f"column {column!r} is missing (short row)")
-        try:
-            cells[column] = _FLOW_PARSERS.get(column, str)(raw)
-        except ValueError:
-            raise FlowError(f"bad value {raw!r} in column {column!r}") from None
-    weekday, hour, minute, second, ms = decompose_timestamp(cells.pop("timestamp"))
-    return FlowRecord(weekday=weekday, hour=hour, minute=minute, second=second,
-                      millisecond=ms, **cells)
-
-
 def _cmd_flowcheck(args) -> int:
-    import csv as _csv
-
-    records = []
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
-        missing_cols = set(_FLOW_COLUMNS) - set(reader.fieldnames or [])
-        if missing_cols:
-            raise CliError(f"netflow CSV missing columns: {sorted(missing_cols)}")
-        for row in reader:
-            try:
-                records.append(_flow_record(row))
-            except FlowError as e:
-                raise FlowError(f"{args.data} line {reader.line_num}: {e}") from None
+    records = read_flows(args.data)
     report = check_invariants(records)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report.to_json(), fh, indent=2)

@@ -1,4 +1,5 @@
-"""Netflow timestamp decomposition and structural invariant checks.
+"""Netflow records, their CSV reader, timestamp decomposition and
+structural invariant checks.
 
 The seven rules below are concrete stand-in formulations of common
 netflow sanity checks; violation rates are exact counts over the
@@ -7,9 +8,11 @@ applicable records for each rule.
 
 from __future__ import annotations
 
+import csv
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime
+from typing import get_type_hints
 
 PROTOCOLS = ("TCP", "UDP", "ICMP", "IGMP", "other")
 
@@ -59,6 +62,12 @@ class FlowRecord:
             v = getattr(self, name)
             if not 0 <= v < limit:
                 raise FlowError(f"{name}={v} outside 0..{limit - 1}")
+        for name in ("src_ip", "dst_ip"):
+            v = getattr(self, name)
+            try:
+                ipaddress.ip_address(v)
+            except ValueError:
+                raise FlowError(f"bad value {v!r} in column {name!r}") from None
         if self.protocol not in PROTOCOLS:
             raise FlowError(f"unknown protocol {self.protocol!r}")
         for name in ("src_port", "dst_port"):
@@ -82,11 +91,44 @@ def decompose_timestamp(ts: datetime | str) -> tuple[int, int, int, int, int]:
             ts.microsecond // 1000)
 
 
+# A netflow CSV's columns: the timestamp, which decomposes into the five
+# calendar fields, then every other field in declaration order.
+COLUMNS = ("timestamp",) + tuple(f.name for f in fields(FlowRecord)[5:])
+_PARSERS = get_type_hints(FlowRecord)
+
+
+def _flow_record(row: dict) -> FlowRecord:
+    cells = {}
+    for column in COLUMNS:
+        raw = row[column]
+        if raw is None:
+            raise FlowError(f"column {column!r} is missing (short row)")
+        try:
+            cells[column] = _PARSERS.get(column, str)(raw)
+        except ValueError:
+            raise FlowError(f"bad value {raw!r} in column {column!r}") from None
+    return FlowRecord(*decompose_timestamp(cells.pop("timestamp")), **cells)
+
+
+def read_flows(path: str) -> list[FlowRecord]:
+    """The records of a netflow CSV whose header names every one of
+    ``COLUMNS``; a bad row raises ``FlowError`` naming its line and column."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(COLUMNS) - set(reader.fieldnames or [])
+        if missing:
+            raise FlowError(f"netflow CSV missing columns: {sorted(missing)}")
+        records = []
+        for row in reader:
+            try:
+                records.append(_flow_record(row))
+            except FlowError as e:
+                raise FlowError(f"{path} line {reader.line_num}: {e}") from None
+    return records
+
+
 def _is_private(ip: str) -> bool:
-    try:
-        return ipaddress.ip_address(ip).is_private
-    except ValueError:
-        raise FlowError(f"invalid IP address {ip!r}")
+    return ipaddress.ip_address(ip).is_private
 
 
 @dataclass
@@ -113,6 +155,12 @@ def _flags_empty(flags: str) -> bool:
     return all(ch in ".- " for ch in flags)
 
 
+def _tally(report: InvariantReport, rule: str, ok: bool):
+    """Count one record the rule applies to, and a violation unless ``ok``."""
+    report.applicable[rule] += 1
+    report.violations[rule] += not ok
+
+
 def check_invariants(records: list[FlowRecord],
                      vocab: dict[str, set] | None = None) -> InvariantReport:
     """Evaluate each rule per record; denominators count only records the
@@ -121,59 +169,37 @@ def check_invariants(records: list[FlowRecord],
     ``vocab`` maps field names to allowed value sets for the
     valid-values rule; fields not listed are not checked.
     """
-    report = InvariantReport()
-    for rule in RULES:
-        report.violations[rule] = 0
-        report.applicable[rule] = 0
-
+    report = InvariantReport(violations=dict.fromkeys(RULES, 0),
+                             applicable=dict.fromkeys(RULES, 0))
     for rec in records:
         # Non-TCP flows must not carry TCP flags.
         if rec.protocol != "TCP":
-            report.applicable["tcp_flags"] += 1
-            if not _flags_empty(rec.flags):
-                report.violations["tcp_flags"] += 1
+            _tally(report, "tcp_flags", _flags_empty(rec.flags))
 
         # At least one endpoint of every flow must be private.
-        report.applicable["private_ips"] += 1
-        if not (_is_private(rec.src_ip) or _is_private(rec.dst_ip)):
-            report.violations["private_ips"] += 1
+        _tally(report, "private_ips", _is_private(rec.src_ip) or _is_private(rec.dst_ip))
 
         # Well-known TCP service ports imply protocol TCP.
         if rec.src_port in WELL_KNOWN_TCP_PORTS or rec.dst_port in WELL_KNOWN_TCP_PORTS:
-            report.applicable["tcp_port"] += 1
-            if rec.protocol != "TCP":
-                report.violations["tcp_port"] += 1
+            _tally(report, "tcp_port", rec.protocol == "TCP")
 
         # Port-53 traffic is UDP, or TCP with a bounded payload.
         if rec.src_port == 53 or rec.dst_port == 53:
-            report.applicable["dns"] += 1
-            ok = rec.protocol == "UDP" or (
-                rec.protocol == "TCP"
-                and rec.bytes <= DNS_BYTES_PER_PACKET * rec.packets
-            )
-            if not ok:
-                report.violations["dns"] += 1
+            _tally(report, "dns", rec.protocol == "UDP" or (
+                rec.protocol == "TCP" and rec.bytes <= DNS_BYTES_PER_PACKET * rec.packets))
 
         # Every field value must come from the training vocabulary.
         if vocab is not None:
-            report.applicable["valid_values"] += 1
-            ok = all(
-                getattr(rec, name) in allowed for name, allowed in vocab.items()
-            )
-            if not ok:
-                report.violations["valid_values"] += 1
+            _tally(report, "valid_values", all(
+                getattr(rec, name) in allowed for name, allowed in vocab.items()))
 
         # NetBios ports imply UDP/TCP and a private destination.
         if rec.src_port in NETBIOS_PORTS or rec.dst_port in NETBIOS_PORTS:
-            report.applicable["netbios"] += 1
-            ok = rec.protocol in ("UDP", "TCP") and _is_private(rec.dst_ip)
-            if not ok:
-                report.violations["netbios"] += 1
+            _tally(report, "netbios",
+                   rec.protocol in ("UDP", "TCP") and _is_private(rec.dst_ip))
 
         # Byte count bounded by min/max frame size times packet count.
-        report.applicable["packet_ratios"] += 1
-        if not (MIN_FRAME_BYTES * rec.packets <= rec.bytes
-                <= MAX_FRAME_BYTES * rec.packets):
-            report.violations["packet_ratios"] += 1
+        _tally(report, "packet_ratios",
+               MIN_FRAME_BYTES * rec.packets <= rec.bytes <= MAX_FRAME_BYTES * rec.packets)
 
     return report

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
@@ -55,6 +56,9 @@ class FieldSchema:
             raise SchemaError(f"{self.name}: declared_cardinality must be positive")
 
 
+_FIELD_KEYS = tuple(f.name for f in dataclass_fields(FieldSchema))
+
+
 @dataclass(frozen=True)
 class TableSchema:
     fields: tuple[FieldSchema, ...]
@@ -90,15 +94,20 @@ class TableSchema:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TableSchema":
-        fields = tuple(
-            FieldSchema(
-                name=d["name"],
-                kind=d["kind"],
-                declared_cardinality=d.get("declared_cardinality"),
-                max_bins=d.get("max_bins"),
-            )
-            for d in obj["fields"]
-        )
+        if not isinstance(obj, dict) or "fields" not in obj:
+            raise SchemaError("schema JSON has no 'fields' list")
+        for i, d in enumerate(obj["fields"]):
+            for key in d:
+                if key not in _FIELD_KEYS:
+                    raise SchemaError(f"field {i}: unknown key {key!r}")
+            for key in ("name", "kind"):
+                if key not in d:
+                    raise SchemaError(f"field {i}: missing key {key!r}")
+            for key in ("declared_cardinality", "max_bins"):
+                # bool is an int subclass, and JSON true is not a count.
+                if d.get(key) is not None and type(d[key]) is not int:
+                    raise SchemaError(f"field {i}: {key} must be an integer, got {d[key]!r}")
+        fields = tuple(FieldSchema(**d) for d in obj["fields"])
         target_index = None
         if "target" in obj and obj["target"] is not None:
             names = [f.name for f in fields]

@@ -166,6 +166,25 @@ class TestCheckpointLoadFailsLoudly:
             p0["offset"], p1["offset"] = p1["offset"], p0["offset"]
         self.load(tmp_path, join_checkpoint(header, blob))
 
+    @pytest.mark.parametrize("edit, key", [
+        ("no_params", "params"), ("no_codecs", "codecs"), ("no_model_config", "model_config"),
+        ("no_seed", "seed"), ("no_schema", "schema"), ("codec_without_values", "values"),
+        ("unknown_config_key", "widht"), ("shape_not_a_list", "shape")])
+    def test_bad_header_key_is_named(self, tmp_path, edit, key):
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        if edit.startswith("no_"):
+            del header[key]
+        elif edit == "codec_without_values":
+            del header["codecs"][0]["values"]
+        elif edit == "unknown_config_key":
+            header["model_config"][key] = 16
+        else:
+            header["params"][0]["shape"] = str(header["params"][0]["shape"])
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(join_checkpoint(header, blob))
+        with pytest.raises(CheckpointError, match=f"'{key}'|{key} is"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("edit", ["extra_category", "dtype"])
     def test_parameters_must_fit_model(self, tmp_path, edit):
         # The header's codecs and config build the model; each stored
@@ -238,6 +257,30 @@ class TestCmdTrain:
         err = single_error(capsys)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(field)
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("schema, named", [
+        ({"fields": [{"name": "A"}]}, "field 0: missing key 'kind'"),
+        ({"fields": [{"kind": "categorical"}]}, "field 0: missing key 'name'"),
+        ({"target": "A"}, "'fields'"),
+        ({"fields": [{"name": "A", "kind": "categorical"},
+                     {"name": "x", "kind": "continuous", "max_bins": "3"}]},
+         "field 1: max_bins must be an integer"),
+        ({"fields": [{"name": "A", "kind": "categorical", "declared_cardinality": 2.5}]},
+         "field 0: declared_cardinality must be an integer"),
+        ({"fields": [{"name": "A", "kind": "categorical", "declared_cardnality": 2}]},
+         "field 0: unknown key 'declared_cardnality'"),
+    ], ids=["no_kind", "no_name", "no_fields", "max_bins_text", "cardinality_float",
+            "misspelt_key"])
+    def test_malformed_schema_json(self, tmp_path, capsys, schema, named):
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        ckpt = tmp_path / "x.ckpt"
+        rc = main(train_args(str(tmp_path / "schema.json"), str(tmp_path / "none.csv"),
+                             str(ckpt), steps=50))
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "SchemaError"
+        assert named in err["message"]
         assert not ckpt.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
