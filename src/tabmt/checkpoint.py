@@ -21,31 +21,25 @@ class CheckpointError(ValueError):
     pass
 
 
+def _layout(model: TabMTModel) -> list[dict]:
+    """Each parameter's blob entry, in model order: its name, shape, dtype,
+    byte count, and offset, where the entry before it ends."""
+    entries, offset = [], 0
+    for name, p in model.named_parameters():
+        entries.append({"name": name, "shape": list(p.data.shape), "dtype": str(p.data.dtype),
+                        "offset": offset, "nbytes": p.data.nbytes})
+        offset += p.data.nbytes
+    return entries
+
+
 def save_checkpoint(path: str, model: TabMTModel, schema: TableSchema | None,
                     step: int = 0, seed: int = 0):
-    named = model.named_parameters()
-    params_meta = []
-    blobs = []
-    offset = 0
-    for name, p in named:
-        arr = np.ascontiguousarray(p.data)
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        raw = le.tobytes()
-        params_meta.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        blobs.append(raw)
-        offset += len(raw)
     header = {
         "format_version": FORMAT_VERSION,
         "schema": schema.to_json() if schema is not None else None,
         "codecs": [codec_to_json(c) for c in model.codecs],
         "model_config": asdict(model.cfg),
-        "params": params_meta,
+        "params": _layout(model),
         "step": step,
         "seed": seed,
     }
@@ -56,8 +50,8 @@ def save_checkpoint(path: str, model: TabMTModel, schema: TableSchema | None,
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+        for _, p in model.named_parameters():
+            fh.write(p.data.astype(p.data.dtype.newbyteorder("<"), copy=False).tobytes())
     os.replace(tmp, path)
 
 
@@ -79,27 +73,21 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
     try:
         codecs = [codec_from_json(c) for c in header["codecs"]]
         model = TabMTModel(codecs, ModelConfig(**header["model_config"]), seed=header["seed"])
-        named = model.named_parameters()
-        params = header["params"]
-        if [pm["name"] for pm in params] != [name for name, _ in named]:
+        layout, params = _layout(model), header["params"]
+        if [pm["name"] for pm in params] != [e["name"] for e in layout]:
             raise CheckpointError("parameter names do not match model topology")
-        size = sum(p.data.nbytes for _, p in named)
+        size = sum(e["nbytes"] for e in layout)
         if len(blob) != size:
             raise CheckpointError(f"blob is {len(blob)} bytes, the parameters take {size}")
-        # Each parameter has the model's shape and dtype, and starts where the last ends.
-        offset = 0
-        for pm, (name, p) in zip(params, named):
-            want = p.data
-            for key, value in (("shape", list(want.shape)), ("dtype", str(want.dtype)),
-                               ("offset", offset), ("nbytes", want.nbytes)):
-                if pm[key] != value:
+        for pm, want, (name, p) in zip(params, layout, model.named_parameters()):
+            for key in ("shape", "dtype", "offset", "nbytes"):
+                if pm[key] != want[key]:
                     raise CheckpointError(f"parameter {name}: {key} is {pm[key]!r}, "
-                                          f"expected {value!r}")
-            arr = np.frombuffer(blob, dtype=want.dtype.newbyteorder("<"), count=want.size,
-                                offset=offset)
+                                          f"expected {want[key]!r}")
+            arr = np.frombuffer(blob, dtype=p.data.dtype.newbyteorder("<"), count=p.data.size,
+                                offset=want["offset"])
             # astype copies out of the read-only file buffer; that copy is the parameter.
-            p.data = arr.reshape(want.shape).astype(want.dtype)
-            offset += want.nbytes
+            p.data = arr.reshape(p.data.shape).astype(p.data.dtype)
         schema = (TableSchema.from_json(header["schema"])
                   if header["schema"] is not None else None)
     except KeyError as exc:

@@ -17,6 +17,7 @@ from .metrics import (
     REGRESS,
     MetricSpace,
     MetricsReport,
+    check_k,
     correlation_error_histogram,
     dcr,
     diversity,
@@ -175,6 +176,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    check_k(args.knn)
     model, schema = _load_model(args.checkpoint)
     real_tok, test_tok, synth_tok = (
         encode_table(load_csv(path, schema, args.missing_marker), model.codecs)

@@ -18,7 +18,7 @@ from itertools import compress
 
 import numpy as np
 
-from .schema import CONTINUOUS, MISSING, RawTable, TokenTable
+from .schema import CATEGORICAL, CONTINUOUS, MISSING, RawTable, TokenTable
 
 
 class CodecError(ValueError):
@@ -82,17 +82,25 @@ class CategoricalCodec:
 @dataclass(frozen=True)
 class ContinuousCodec:
     centers: np.ndarray
-    ratios: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", np.asarray(self.centers, dtype=np.float64))
-        object.__setattr__(self, "ratios", np.asarray(self.ratios, dtype=np.float64))
-        if np.any(np.diff(self.centers) <= 0):
+        centers = np.asarray(self.centers, dtype=np.float64)
+        if centers.ndim != 1 or len(centers) == 0:
+            raise CodecError("a continuous codec needs a non-empty list of centers")
+        if not (np.diff(centers) > 0).all():
             raise CodecError("cluster centers must be strictly increasing")
+        object.__setattr__(self, "centers", centers)
 
     @property
     def cardinality(self) -> int:
         return len(self.centers)
+
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        """Each center's min-max ratio, for the ordered embedding; a single
+        center (min == max) is pinned to 0."""
+        c = self.centers
+        return np.zeros(1) if len(c) == 1 else (c - c[0]) / (c[-1] - c[0])
 
     def encode(self, x: float) -> int:
         return int(self.encode_column([x])[0])
@@ -119,13 +127,6 @@ class ContinuousCodec:
 
     def decode_column(self, tokens) -> list:
         return self.centers[_checked_tokens(tokens, self.cardinality)].tolist()
-
-
-def _ratios(centers: np.ndarray) -> np.ndarray:
-    if len(centers) == 1:
-        # Degenerate field: min == max, pin the ratio to 0.
-        return np.zeros(1)
-    return (centers - centers[0]) / (centers[-1] - centers[0])
 
 
 def _kmeans_1d(columns) -> list[np.ndarray]:
@@ -231,15 +232,11 @@ def _distinct(values, max_bins: int) -> tuple[np.ndarray, np.ndarray, int]:
     return distinct, counts.astype(np.float64), min(int(max_bins), len(distinct))
 
 
-def _continuous(centers: np.ndarray) -> ContinuousCodec:
-    return ContinuousCodec(centers=centers, ratios=_ratios(centers))
-
-
 def fit_continuous(values, max_bins: int) -> ContinuousCodec:
     """Quantize a continuous column to at most ``max_bins`` centers: the
     means of the k-means clustering of its observed values with the least
     within-cluster sum of squares."""
-    return _continuous(_kmeans_1d([_distinct(values, max_bins)])[0])
+    return ContinuousCodec(_kmeans_1d([_distinct(values, max_bins)])[0])
 
 
 def fit_categorical(values) -> CategoricalCodec:
@@ -268,7 +265,7 @@ def fit_codecs(table: RawTable, seed: int = 0) -> list[FieldCodec]:
                 raise CodecError(f"{codec.cardinality} distinct values observed, "
                                  f"{fs.declared_cardinality} declared")
     centers = iter(_kmeans_1d(columns) if columns else [])
-    return [_continuous(next(centers)) if c is None else c for c in codecs]
+    return [ContinuousCodec(next(centers)) if c is None else c for c in codecs]
 
 
 def observed_cells(table: RawTable, j: int, codec: FieldCodec) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +309,14 @@ def decode_table(table: TokenTable, codecs: list[FieldCodec]) -> RawTable:
 
 def codec_to_json(codec: FieldCodec) -> dict:
     if isinstance(codec, CategoricalCodec):
-        return {"kind": "categorical", "values": list(codec.values)}
-    return {"kind": "continuous", "centers": codec.centers.tolist()}
+        return {"kind": CATEGORICAL, "values": list(codec.values)}
+    return {"kind": CONTINUOUS, "centers": codec.centers.tolist()}
 
 
 def codec_from_json(obj: dict) -> FieldCodec:
-    if obj["kind"] == "categorical":
+    kind = obj["kind"]
+    if kind == CATEGORICAL:
         return CategoricalCodec(values=tuple(obj["values"]))
-    return _continuous(np.asarray(obj["centers"], dtype=np.float64))
+    if kind == CONTINUOUS:
+        return ContinuousCodec(obj["centers"])
+    raise CodecError(f"unknown codec kind {kind!r}")

@@ -130,7 +130,7 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
     with model.inference():
         for start in range(0, n_total, batch_size):
             end = min(start + batch_size, n_total)
-            batch = tokens[start:end]
+            batch = tokens[start:end]  # a view: samples land in tokens
             mask = table.missing[start:end].copy()
             for j in _field_order(range(l), rng):
                 rows = mask[:, j]
@@ -139,7 +139,6 @@ def impute(model: TabMTModel, table: TokenTable, temps=None, seed: int = 0,
                 logits = _field_logits(model, batch[rows], mask[rows], j)
                 batch[rows, j] = sample_field(logits, temps_l[j], rng)
                 mask[:, j] = False
-            tokens[start:end] = batch
     missing = np.zeros_like(table.missing)
     return TokenTable(schema=table.schema, tokens=tokens, missing=missing,
                       source=table.source)

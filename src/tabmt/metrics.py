@@ -213,6 +213,12 @@ def _balls(cloud: np.ndarray, k: int):
     return points, counts, radii
 
 
+def check_k(k: int):
+    """The neighbour count of ``precision_recall``; below 1 raises a MetricError."""
+    if k < 1:
+        raise MetricError(f"k must be at least 1, got k={k}")
+
+
 def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
                      ) -> tuple[float, float]:
     """k-NN manifold precision/recall over embedding clouds.
@@ -221,8 +227,7 @@ def precision_recall(real_emb: np.ndarray, synth_emb: np.ndarray, k: int = 3
     radius equal to its k-th nearest real neighbor; precision is the
     fraction of synthetic points inside it. Recall swaps the roles.
     """
-    if k < 1:
-        raise MetricError(f"k must be at least 1, got k={k}")
+    check_k(k)
     real_emb = np.asarray(real_emb, dtype=np.float64)
     synth_emb = np.asarray(synth_emb, dtype=np.float64)
     if len(real_emb) <= k or len(synth_emb) <= k:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -57,6 +57,8 @@ class FieldSchema:
 
 
 _FIELD_KEYS = tuple(f.name for f in dataclass_fields(FieldSchema))
+# The top-level keys of schema JSON, as ``TableSchema.to_json`` writes them.
+_TABLE_KEYS = ("fields", "target")
 
 
 @dataclass(frozen=True)
@@ -80,14 +82,8 @@ class TableSchema:
         return [f.name for f in self.fields]
 
     def to_json(self) -> dict:
-        out = {"fields": []}
-        for f in self.fields:
-            d = {"name": f.name, "kind": f.kind}
-            if f.declared_cardinality is not None:
-                d["declared_cardinality"] = f.declared_cardinality
-            if f.max_bins is not None:
-                d["max_bins"] = f.max_bins
-            out["fields"].append(d)
+        out = {"fields": [{k: v for k, v in asdict(f).items() if v is not None}
+                          for f in self.fields]}
         if self.target_index is not None:
             out["target"] = self.fields[self.target_index].name
         return out
@@ -96,6 +92,12 @@ class TableSchema:
     def from_json(cls, obj: dict) -> "TableSchema":
         if not isinstance(obj, dict) or "fields" not in obj:
             raise SchemaError("schema JSON has no 'fields' list")
+        for key in obj:
+            if key not in _TABLE_KEYS:
+                raise SchemaError(f"unknown top-level key {key!r}")
+        if not isinstance(obj["fields"], list) or not all(isinstance(d, dict)
+                                                          for d in obj["fields"]):
+            raise SchemaError(f"'fields' must be a list of objects, got {obj['fields']!r}")
         for i, d in enumerate(obj["fields"]):
             for key in d:
                 if key not in _FIELD_KEYS:
@@ -103,17 +105,21 @@ class TableSchema:
             for key in ("name", "kind"):
                 if key not in d:
                     raise SchemaError(f"field {i}: missing key {key!r}")
+            if not isinstance(d["name"], str):
+                raise SchemaError(f"field {i}: name must be a string, got {d['name']!r}")
             for key in ("declared_cardinality", "max_bins"):
                 # bool is an int subclass, and JSON true is not a count.
                 if d.get(key) is not None and type(d[key]) is not int:
                     raise SchemaError(f"field {i}: {key} must be an integer, got {d[key]!r}")
         fields = tuple(FieldSchema(**d) for d in obj["fields"])
-        target_index = None
-        if "target" in obj and obj["target"] is not None:
+        target, target_index = obj.get("target"), None
+        if target is not None:
+            if not isinstance(target, str):
+                raise SchemaError(f"target must be a string, got {target!r}")
             names = [f.name for f in fields]
-            if obj["target"] not in names:
-                raise SchemaError(f"target {obj['target']!r} not among fields")
-            target_index = names.index(obj["target"])
+            if target not in names:
+                raise SchemaError(f"target {target!r} not among fields")
+            target_index = names.index(target)
         return cls(fields=fields, target_index=target_index)
 
 
@@ -157,11 +163,12 @@ class RawTable:
         return [list(row) for row in zip(*self.columns)]
 
 
-def _parse_column(raw: list[str], fs: FieldSchema, missing_marker: str) -> list:
-    """One column's cells; a blank or ``missing_marker`` cell is MISSING. A
-    continuous cell that ``float`` rejects raises its ValueError."""
+def _parse_column(raw: list[str], kind: str, missing_marker: str) -> list:
+    """One column's cells as a field of ``kind`` holds them; a blank or
+    ``missing_marker`` cell is MISSING. A continuous cell that ``float``
+    rejects raises its ValueError."""
     blank = "" in raw or (missing_marker != "" and missing_marker in raw)
-    if fs.kind == CONTINUOUS:
+    if kind == CONTINUOUS:
         if not blank:
             return list(map(float, raw))
         return [MISSING if v == missing_marker or v == "" else float(v) for v in raw]
@@ -170,7 +177,7 @@ def _parse_column(raw: list[str], fs: FieldSchema, missing_marker: str) -> list:
 
 def parse_cell(raw: str, fs: FieldSchema, missing_marker: str):
     try:
-        return _parse_column([raw], fs, missing_marker)[0]
+        return _parse_column([raw], fs.kind, missing_marker)[0]
     except ValueError:
         raise SchemaError(f"non-numeric value {raw!r} in continuous column {fs.name!r}") from None
 
@@ -185,7 +192,7 @@ def _parse_chunk(path: str, chunk: list[list[str]], width: int, order: list[int]
     with a SchemaError naming the chunk's first fault in file order."""
     if not chunk or min(map(len, chunk)) >= width:
         try:
-            return [_parse_column([row[src] for row in chunk], fs, missing_marker)
+            return [_parse_column([row[src] for row in chunk], fs.kind, missing_marker)
                     for src, fs in zip(order, fields)]
         except ValueError:
             pass
@@ -196,6 +203,13 @@ def _parse_chunk(path: str, chunk: list[list[str]], width: int, order: list[int]
         for src, fs in zip(order, fields):
             parse_cell(row[src], fs, missing_marker)
     raise AssertionError("a chunk failed to parse, but no row of it did")
+
+
+def _read_header(reader, path: str) -> list[str]:
+    try:
+        return next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
 
 
 def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTable:
@@ -209,10 +223,7 @@ def load_csv(path: str, schema: TableSchema, missing_marker: str = "") -> RawTab
     columns = [[] for _ in schema.fields]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file")
+        header = _read_header(reader, path)
         col_of = {name: i for i, name in enumerate(header)}
         for f in schema.fields:
             if f.name not in col_of:
@@ -252,31 +263,25 @@ def write_csv(table: RawTable, path: str, missing_marker: str = ""):
 
 def infer_schema(path: str, max_bins: int = 100, missing_marker: str = "",
                  target: str | None = None) -> TableSchema:
-    """Guess field kinds from a CSV: numeric-parseable columns become
-    continuous, everything else categorical."""
+    """Guess field kinds from a CSV: a column whose observed cells all parse
+    as a continuous field's do (``load_csv``'s rule) becomes continuous,
+    every other column categorical. The file is read as ``load_csv`` reads
+    it, so an empty file or a short row raises its SchemaError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        numeric = [True] * len(header)
-        seen_value = [False] * len(header)
-        for row in reader:
-            for i, raw in enumerate(row[: len(header)]):
-                if raw == missing_marker or raw == "":
-                    continue
-                seen_value[i] = True
-                if numeric[i]:
-                    try:
-                        float(raw)
-                    except ValueError:
-                        numeric[i] = False
-    fields = []
-    for name, is_num, seen in zip(header, numeric, seen_value):
-        if is_num and seen:
-            fields.append(FieldSchema(name=name, kind=CONTINUOUS, max_bins=max_bins))
-        else:
-            fields.append(FieldSchema(name=name, kind=CATEGORICAL))
+        header = _read_header(csv.reader(fh), path)
     if target is not None and target not in header:
         raise SchemaError(f"target {target!r} is not a column of {path}")
+    as_text = TableSchema(fields=tuple(FieldSchema(name=name, kind=CATEGORICAL)
+                                       for name in header))
+    fields = []
+    for fs, col in zip(as_text.fields, load_csv(path, as_text, missing_marker).columns):
+        observed = [v for v in col if v is not MISSING]
+        try:
+            numeric = bool(_parse_column(observed, CONTINUOUS, missing_marker))
+        except ValueError:
+            numeric = False
+        fields.append(FieldSchema(name=fs.name, kind=CONTINUOUS, max_bins=max_bins)
+                      if numeric else fs)
     target_index = header.index(target) if target is not None else None
     return TableSchema(fields=tuple(fields), target_index=target_index)
 

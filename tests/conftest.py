@@ -8,8 +8,10 @@ import importlib.util
 import ipaddress
 import json
 import math
+import os
+import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,8 +22,10 @@ from hypothesis import settings
 from tabmt import autodiff as ad
 from tabmt import cli, metrics, pareto
 from tabmt.autodiff import Parameter, Tensor, row_max
-from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _continuous, _field,
-                         _finite, _kmeans_1d, fit_categorical, fit_continuous)
+from tabmt.checkpoint import FORMAT_VERSION, MAGIC, CheckpointError
+from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _field, _finite,
+                         _kmeans_1d, codec_from_json, codec_to_json, fit_categorical,
+                         fit_continuous)
 from tabmt.flowcheck import (DNS_BYTES_PER_PACKET, MAX_FRAME_BYTES, MIN_FRAME_BYTES,
                              NETBIOS_PORTS, RULES, WELL_KNOWN_TCP_PORTS, FlowError, FlowRecord,
                              InvariantReport, decompose_timestamp)
@@ -31,8 +35,8 @@ from tabmt.metrics import (_TINY, _U, CLASSIFY, REGRESS, MetricError, _kth_dists
 from tabmt.model import (CategoricalEmbedding, DynamicLinear, ModelConfig, OrderedEmbedding,
                          TabMTModel, _EncoderBlock)
 from tabmt.optim import AdamW
-from tabmt.schema import (CONTINUOUS, MISSING, FieldSchema, SchemaError, TableSchema,
-                          TokenTable)
+from tabmt.schema import (CATEGORICAL, CONTINUOUS, MISSING, FieldSchema, SchemaError,
+                          TableSchema, TokenTable)
 from tabmt.training import TrainConfig, train
 
 # Every run draws the same hypothesis examples, so a run's result does not
@@ -353,7 +357,7 @@ def fit_codecs_rowwise(table) -> list:
                 raise CodecError(f"{codec.cardinality} distinct values observed, "
                                  f"{fs.declared_cardinality} declared")
     centers = iter(_kmeans_1d(columns) if columns else [])
-    return [_continuous(next(centers)) if c is None else c for c in codecs]
+    return [ContinuousCodec(next(centers)) if c is None else c for c in codecs]
 
 
 def observed_cells_rowwise(table, j: int, codec) -> tuple[np.ndarray, np.ndarray]:
@@ -1344,3 +1348,149 @@ def cmd_flowcheck_oracle(args) -> int:
         json.dump(report.to_json(), fh, indent=2)
     print(f"checked {len(records)} flows, report written to {args.report}")
     return 0
+
+
+# ---- stored formats as each was described twice ---------------------------
+# The checkpoint writer and reader, each with its own offset arithmetic; the
+# schema JSON written key by key; the ratio helper a continuous codec was
+# built with; and infer_schema with its own row loop. The bodies are kept
+# verbatim; only the names differ.
+
+def save_checkpoint_by_hand(path: str, model: TabMTModel, schema: TableSchema | None,
+                            step: int = 0, seed: int = 0):
+    named = model.named_parameters()
+    params_meta = []
+    blobs = []
+    offset = 0
+    for name, p in named:
+        arr = np.ascontiguousarray(p.data)
+        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+        raw = le.tobytes()
+        params_meta.append({
+            "name": name,
+            "shape": list(arr.shape),
+            "dtype": str(arr.dtype),
+            "offset": offset,
+            "nbytes": len(raw),
+        })
+        blobs.append(raw)
+        offset += len(raw)
+    header = {
+        "format_version": FORMAT_VERSION,
+        "schema": schema.to_json() if schema is not None else None,
+        "codecs": [codec_to_json(c) for c in model.codecs],
+        "model_config": asdict(model.cfg),
+        "params": params_meta,
+        "step": step,
+        "seed": seed,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    # A reader never sees a half-written file: write aside, then rename.
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<Q", len(header_bytes)))
+        fh.write(header_bytes)
+        for raw in blobs:
+            fh.write(raw)
+    os.replace(tmp, path)
+
+
+def load_checkpoint_by_hand(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    start = len(MAGIC) + 8
+    try:
+        (hlen,) = struct.unpack_from("<Q", data, len(MAGIC))
+        header = json.loads(data[start:start + hlen])
+        version = header["format_version"]
+    except (struct.error, ValueError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path}: short or unparsable header") from exc
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    blob = memoryview(data)[start + hlen:]
+    try:
+        codecs = [codec_from_json(c) for c in header["codecs"]]
+        model = TabMTModel(codecs, ModelConfig(**header["model_config"]), seed=header["seed"])
+        named = model.named_parameters()
+        params = header["params"]
+        if [pm["name"] for pm in params] != [name for name, _ in named]:
+            raise CheckpointError("parameter names do not match model topology")
+        size = sum(p.data.nbytes for _, p in named)
+        if len(blob) != size:
+            raise CheckpointError(f"blob is {len(blob)} bytes, the parameters take {size}")
+        # Each parameter has the model's shape and dtype, and starts where the last ends.
+        offset = 0
+        for pm, (name, p) in zip(params, named):
+            want = p.data
+            for key, value in (("shape", list(want.shape)), ("dtype", str(want.dtype)),
+                               ("offset", offset), ("nbytes", want.nbytes)):
+                if pm[key] != value:
+                    raise CheckpointError(f"parameter {name}: {key} is {pm[key]!r}, "
+                                          f"expected {value!r}")
+            arr = np.frombuffer(blob, dtype=want.dtype.newbyteorder("<"), count=want.size,
+                                offset=offset)
+            # astype copies out of the read-only file buffer; that copy is the parameter.
+            p.data = arr.reshape(want.shape).astype(want.dtype)
+            offset += want.nbytes
+        schema = (TableSchema.from_json(header["schema"])
+                  if header["schema"] is not None else None)
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header has no key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    return model, schema, header
+
+
+def schema_to_json_by_hand(self: TableSchema) -> dict:
+    out = {"fields": []}
+    for f in self.fields:
+        d = {"name": f.name, "kind": f.kind}
+        if f.declared_cardinality is not None:
+            d["declared_cardinality"] = f.declared_cardinality
+        if f.max_bins is not None:
+            d["max_bins"] = f.max_bins
+        out["fields"].append(d)
+    if self.target_index is not None:
+        out["target"] = self.fields[self.target_index].name
+    return out
+
+
+def ratios_by_hand(centers: np.ndarray) -> np.ndarray:
+    if len(centers) == 1:
+        # Degenerate field: min == max, pin the ratio to 0.
+        return np.zeros(1)
+    return (centers - centers[0]) / (centers[-1] - centers[0])
+
+
+def infer_schema_by_rows(path: str, max_bins: int = 100, missing_marker: str = "",
+                         target: str | None = None) -> TableSchema:
+    """Guess field kinds from a CSV: numeric-parseable columns become
+    continuous, everything else categorical."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        numeric = [True] * len(header)
+        seen_value = [False] * len(header)
+        for row in reader:
+            for i, raw in enumerate(row[: len(header)]):
+                if raw == missing_marker or raw == "":
+                    continue
+                seen_value[i] = True
+                if numeric[i]:
+                    try:
+                        float(raw)
+                    except ValueError:
+                        numeric[i] = False
+    fields = []
+    for name, is_num, seen in zip(header, numeric, seen_value):
+        if is_num and seen:
+            fields.append(FieldSchema(name=name, kind=CONTINUOUS, max_bins=max_bins))
+        else:
+            fields.append(FieldSchema(name=name, kind=CATEGORICAL))
+    if target is not None and target not in header:
+        raise SchemaError(f"target {target!r} is not a column of {path}")
+    target_index = header.index(target) if target is not None else None
+    return TableSchema(fields=tuple(fields), target_index=target_index)

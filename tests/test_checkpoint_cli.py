@@ -185,6 +185,22 @@ class TestCheckpointLoadFailsLoudly:
         with pytest.raises(CheckpointError, match=f"'{key}'|{key} is"):
             load_checkpoint(str(path))
 
+    def test_misspelt_codec_kind_is_named(self, tmp_path):
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        header["codecs"][0]["kind"] = "categorcal"
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(join_checkpoint(header, blob))
+        with pytest.raises(CheckpointError, match="unknown codec kind 'categorcal'"):
+            load_checkpoint(str(path))
+
+    def test_empty_centers_are_named(self, tmp_path):
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        header["codecs"][0] = {"kind": "continuous", "centers": []}
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(join_checkpoint(header, blob))
+        with pytest.raises(CheckpointError, match="non-empty list of centers"):
+            load_checkpoint(str(path))
+
     @pytest.mark.parametrize("edit", ["extra_category", "dtype"])
     def test_parameters_must_fit_model(self, tmp_path, edit):
         # The header's codecs and config build the model; each stored
@@ -270,8 +286,16 @@ class TestCmdTrain:
          "field 0: declared_cardinality must be an integer"),
         ({"fields": [{"name": "A", "kind": "categorical", "declared_cardnality": 2}]},
          "field 0: unknown key 'declared_cardnality'"),
+        ({"fields": [{"name": "A", "kind": "categorical"}], "targte": "A"},
+         "unknown top-level key 'targte'"),
+        ({"fields": "ab"}, "'fields' must be a list of objects"),
+        ({"fields": [["name", "A"]]}, "'fields' must be a list of objects"),
+        ({"fields": [{"name": 5, "kind": "categorical"}]}, "field 0: name must be a string"),
+        ({"fields": [{"name": "A", "kind": "categorical"}], "target": 0},
+         "target must be a string"),
     ], ids=["no_kind", "no_name", "no_fields", "max_bins_text", "cardinality_float",
-            "misspelt_key"])
+            "misspelt_key", "misspelt_target_key", "fields_text", "field_not_object",
+            "name_not_text", "target_not_text"])
     def test_malformed_schema_json(self, tmp_path, capsys, schema, named):
         (tmp_path / "schema.json").write_text(json.dumps(schema))
         ckpt = tmp_path / "x.ckpt"
@@ -353,6 +377,21 @@ class TestCmdEvaluate:
         rc = main(["evaluate", "--checkpoint", trained_cli["ckpt"],
                    "--real-train", trained_cli["data"], "--real-test", trained_cli["data"],
                    "--synth", trained_cli["data"], "--report", str(report), "--knn", k])
+        assert rc == 1
+        err = single_error(capsys)
+        assert err["error"] == "MetricError"
+        assert f"k={k}" in err["message"]
+        assert not report.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_knn_checked_before_anything_is_read(self, tmp_path, capsys, k):
+        """None of the paths exist: --knn fails first, naming k."""
+        report = tmp_path / "report.json"
+        rc = main(["evaluate", "--checkpoint", str(tmp_path / "absent.ckpt"),
+                   "--real-train", str(tmp_path / "absent_train.csv"),
+                   "--real-test", str(tmp_path / "absent_test.csv"),
+                   "--synth", str(tmp_path / "absent_synth.csv"),
+                   "--report", str(report), "--knn", k])
         assert rc == 1
         err = single_error(capsys)
         assert err["error"] == "MetricError"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import dp_kmeans_1d, lloyd_1d
 from tabmt.codec import (
     CodecError,
-    _continuous,
+    ContinuousCodec,
     decode_table,
     encode_table,
     fit_categorical,
@@ -176,7 +176,7 @@ class TestContinuousEncodeDecode:
         probes = list(centers) + [(a + b) / 2 for a, b in zip(centers, centers[1:])]
         probes += [s * 10.0 ** e for e in range(-300, 300, 7) for s in (1, -1)]
         probes += [np.nextafter(x, d) for x in list(probes) for d in (-np.inf, np.inf)]
-        codec = _continuous(np.array(centers))
+        codec = ContinuousCodec(np.array(centers))
         want = [min(range(len(centers)), key=lambda t: abs(x - centers[t])) for x in probes]
         assert codec.encode_column(probes).tolist() == want
 
@@ -185,7 +185,7 @@ class TestContinuousEncodeDecode:
     @settings(max_examples=200, deadline=None)
     def test_encode_column_random(self, centers, probes):
         centers = sorted(centers)
-        codec = _continuous(np.array(centers))
+        codec = ContinuousCodec(np.array(centers))
         want = [min(range(len(centers)), key=lambda t: abs(x - centers[t])) for x in probes]
         assert codec.encode_column(probes).tolist() == want
 
