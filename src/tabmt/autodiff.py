@@ -299,11 +299,11 @@ def reshape(a, shape) -> Tensor:
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
-    out_data = np.transpose(a.data, axes)
-    na, inv = a.node, np.argsort(axes)
+    out_data = a.data.transpose(axes)
+    na = a.node
 
     def backward(g):
-        _accum(na, np.transpose(g, inv))
+        _accum(na, g.transpose(np.argsort(axes)))
 
     return _make(out_data, (a,), backward)
 

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .codec import codec_from_json, codec_to_json
+from .codec import CodecError, codec_from_json, codec_to_json
 from .model import ModelConfig, TabMTModel
 from .schema import TableSchema
 
@@ -71,7 +71,12 @@ def load_checkpoint(path: str) -> tuple[TabMTModel, TableSchema | None, dict]:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     blob = memoryview(data)[start + hlen:]
     try:
-        codecs = [codec_from_json(c) for c in header["codecs"]]
+        codecs = []
+        for i, c in enumerate(header["codecs"]):
+            try:
+                codecs.append(codec_from_json(c))
+            except CodecError as exc:
+                raise CheckpointError(f"codec {i}: {exc}") from exc
         model = TabMTModel(codecs, ModelConfig(**header["model_config"]), seed=header["seed"])
         layout, params = _layout(model), header["params"]
         if [pm["name"] for pm in params] != [e["name"] for e in layout]:

@@ -314,9 +314,19 @@ def codec_to_json(codec: FieldCodec) -> dict:
 
 
 def codec_from_json(obj: dict) -> FieldCodec:
+    """The codec ``codec_to_json`` wrote: categorical ``values`` must be a
+    list of distinct strings, continuous ``centers`` a list of numbers."""
     kind = obj["kind"]
     if kind == CATEGORICAL:
-        return CategoricalCodec(values=tuple(obj["values"]))
+        values = obj["values"]
+        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
+                and len(set(values)) == len(values)):
+            raise CodecError("'values' must be a list of distinct strings")
+        return CategoricalCodec(values=tuple(values))
     if kind == CONTINUOUS:
-        return ContinuousCodec(obj["centers"])
+        centers = obj["centers"]
+        if not (isinstance(centers, list) and all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in centers)):
+            raise CodecError("'centers' must be a list of numbers")
+        return ContinuousCodec(centers)
     raise CodecError(f"unknown codec kind {kind!r}")

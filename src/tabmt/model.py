@@ -93,8 +93,10 @@ class DynamicLinear(_Module):
         self.bias = Parameter(np.zeros(embedding.E.data.shape[0], dtype=dtype))
         self.temp = Parameter(np.ones(1, dtype=dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
-        w = self.embedding.weight()
+    def forward(self, x: Tensor, weight: Tensor | None = None) -> Tensor:
+        """Logits of the (..., d) states ``x``; ``weight`` is the embedding's
+        ``weight()`` when the caller has it already."""
+        w = self.embedding.weight() if weight is None else weight
         raw = ad.linear(x, ad.transpose(w, (1, 0)), self.bias)
         return ad.mul(raw, ad.reciprocal(ad.sigmoid(self.temp)))
 
@@ -244,8 +246,14 @@ class TabMTModel:
         finally:
             self.training = was_training
 
+    def tied_weights(self) -> list[Tensor]:
+        """Each field's embedding weight, which its input lookup and its
+        output head share."""
+        return [e.weight() for e in self.embeddings]
+
     def _hidden(self, tokens: np.ndarray, mask: np.ndarray,
-                rng: np.random.Generator | None, at: np.ndarray | None = None) -> Tensor:
+                rng: np.random.Generator | None, at: np.ndarray | None = None,
+                weights: list[Tensor] | None = None) -> Tensor:
         """Final encoder hidden states after the pre-head layer norm, (n, l, d),
         or (n, q, d) at the (n, q) positions ``at`` of each row, where the last
         block runs. Each field looks up its own table; one blend over all
@@ -262,7 +270,7 @@ class TabMTModel:
         bad = ((idx < 0) | (idx >= np.asarray(self.cardinalities))).any(axis=0)
         if bad.any():
             raise ValueError(f"token out of range at unmasked position, field {np.argmax(bad)}")
-        emb = ad.embed([e.weight() for e in self.embeddings], idx)
+        emb = ad.embed(self.tied_weights() if weights is None else weights, idx)
         m = mask.astype(self.cfg.np_dtype)[:, :, None]
         x = ad.add(ad.mul(emb, Tensor(1.0 - m)), ad.mul(self.mask_token, Tensor(m)))
         x = ad.add(x, self.positional)
@@ -273,22 +281,37 @@ class TabMTModel:
 
     def forward(self, tokens: np.ndarray, mask: np.ndarray,
                 rng: np.random.Generator | None = None,
-                fields=None) -> list[Tensor]:
+                fields=None, weights: list[Tensor] | None = None) -> list[Tensor]:
         """Per-field logits, each of shape (n, cardinality_j).
 
         ``fields`` lists the fields whose heads to run, in the order given
-        (default: all); sampling one field needs one head, not l. A forward
-        that asks for some heads computes the last encoder block only at
-        their positions: its keys and values still cover every position, so
-        the logits match the full forward's up to rounding, not bit for bit.
+        (default: all); sampling one field needs one head, not l. As an
+        (n, q) integer array it gives each row its own q fields instead;
+        the result then holds one tensor per distinct field j, in increasing
+        order, whose rows are the (row, slot) pairs asking for j, in
+        row-major order. A forward that asks for some heads computes the
+        last encoder block only at their positions: its keys and values
+        still cover every position, so the logits match the full forward's
+        up to rounding, not bit for bit.
+
+        ``weights`` are ``tied_weights()``, for a caller that runs many
+        forwards on unchanged parameters; by default each lookup and head
+        computes its own.
         """
+        ws = weights or [None] * self.n_fields
         if fields is None:
             fields, at = range(self.n_fields), None
+        elif isinstance(fields, np.ndarray) and fields.ndim == 2:
+            at = np.arange(self.n_fields)[fields]
+            h = self._hidden(tokens, mask, rng, at, weights)
+            h = ad.reshape(h, (-1, h.shape[-1]))
+            return [self.heads[j].forward(ad.gather_rows(h, np.flatnonzero(at.ravel() == j)),
+                                          ws[j]) for j in np.unique(at)]
         else:
             fields = list(fields)
             at = np.tile(np.arange(self.n_fields)[fields], (len(tokens), 1))
-        h = self._hidden(tokens, mask, rng, at)
-        return [self.heads[j].forward(ad.select(h, 1, t)) for t, j in enumerate(fields)]
+        h = self._hidden(tokens, mask, rng, at, weights)
+        return [self.heads[j].forward(ad.select(h, 1, t), ws[j]) for t, j in enumerate(fields)]
 
     def embed_rows(self, tokens: np.ndarray,
                    missing: np.ndarray | None = None) -> np.ndarray:

@@ -29,7 +29,7 @@ from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _field, 
 from tabmt.flowcheck import (DNS_BYTES_PER_PACKET, MAX_FRAME_BYTES, MIN_FRAME_BYTES,
                              NETBIOS_PORTS, RULES, WELL_KNOWN_TCP_PORTS, FlowError, FlowRecord,
                              InvariantReport, decompose_timestamp)
-from tabmt.generation import _field_order, sample_field
+from tabmt.generation import _draws
 from tabmt.metrics import (_TINY, _U, CLASSIFY, REGRESS, MetricError, _kth_dists, _macro_f1,
                            _screen, _sq_dists, _train_logistic)
 from tabmt.model import (CategoricalEmbedding, DynamicLinear, ModelConfig, OrderedEmbedding,
@@ -400,17 +400,17 @@ def decode_table_rowwise(table: TokenTable, codecs: list) -> RowTable:
 def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
                               ) -> dict[int, np.ndarray]:
     """Empirical distribution of the masked subset at each generation step,
-    over ``samples`` orders drawn by the order function ``generate`` and
-    ``impute`` use.
+    over the orders the sampler draws for ``samples`` all-masked rows.
 
     Subsets are encoded as bitmasks. Returns, per step t in 0..l, an array
     of frequencies indexed by bitmask. At step t every size-(l-t) subset
-    should appear with probability 1 / C(l, l-t).
+    should appear with probability 1 / C(l, l-t). A row's draws do not
+    depend on how rows are batched, so they are drawn 2^16 rows at a time.
     """
     if l > 6:
         raise ValueError("oracle is for small l only (exhaustive enumeration)")
-    fields = np.arange(l)
-    orders = np.array([_field_order(fields, rng) for _ in range(samples)])
+    orders = np.concatenate([_draws(rng, np.ones((min(1 << 16, samples - i), l), bool))[0]
+                             for i in range(0, samples, 1 << 16)])
     bits = 1 << orders
     out: dict[int, np.ndarray] = {}
     masked = np.full(samples, (1 << l) - 1, dtype=np.int64)
@@ -424,14 +424,18 @@ def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
 @contextlib.contextmanager
 def count_forward_rows():
     """Record ``(rows, fields)`` for every ``TabMTModel.forward`` call made
-    inside the block; the original method is restored on exit."""
+    inside the block; the original method is restored on exit. ``fields``
+    is None, a tuple of fields, or, for per-row fields, a tuple of tuples."""
     calls: list[tuple[int, tuple | None]] = []
     original = TabMTModel.forward
 
-    def counted(self, tokens, mask, rng=None, fields=None):
-        calls.append((len(tokens), None if fields is None
-                      else tuple(int(j) for j in fields)))
-        return original(self, tokens, mask, rng, fields)
+    def counted(self, tokens, mask, rng=None, fields=None, weights=None):
+        if isinstance(fields, np.ndarray) and fields.ndim == 2:
+            asked = tuple(tuple(map(int, row)) for row in fields)
+        else:
+            asked = None if fields is None else tuple(int(j) for j in fields)
+        calls.append((len(tokens), asked))
+        return original(self, tokens, mask, rng, fields, weights)
 
     TabMTModel.forward = counted
     try:
@@ -481,10 +485,16 @@ PRUNED_ATOL = {"float32": 5e-6, "float64": 2e-14}
 
 def forward_selecting(self, tokens: np.ndarray, mask: np.ndarray,
                       rng: np.random.Generator | None = None,
-                      fields=None) -> list[Tensor]:
+                      fields=None, weights=None) -> list[Tensor]:
     """Oracle for ``TabMTModel.forward`` on a subset of heads: the whole
-    last block at every position, then each head's position selected."""
+    last block at every position, then each head's position selected; for
+    per-row fields, field j's position of each row asking for it. Each head
+    computes its own tied weight."""
     h = self._hidden(tokens, mask, rng)
+    if isinstance(fields, np.ndarray) and fields.ndim == 2:
+        return [self.heads[j].forward(ad.gather_rows(ad.select(h, 1, j),
+                                                     np.nonzero(fields == j)[0]))
+                for j in np.unique(fields)]
     fields = range(self.n_fields) if fields is None else fields
     return [self.heads[j].forward(ad.select(h, 1, j)) for j in fields]
 
@@ -814,48 +824,55 @@ def mle_proxy_by_lookup(synth_train, real_test, space, target_index: int, task: 
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
-def generate_oracle(model: TabMTModel, temps: list[float], condition: dict,
-                    count: int, seed: int, batch_size: int = 512) -> np.ndarray:
-    """Generation as a taped forward over every head, keeping field j.
+def sample_row_oracle(logits: np.ndarray, tau: float, u: float) -> int:
+    """One row's draw from softmax(logits / tau) at the uniform ``u``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if tau < 1e-6:
+        return int(np.argmax(logits))
+    z = logits / tau
+    z -= z.max()
+    p = np.exp(z)
+    p /= p.sum()
+    cdf = np.cumsum(p)
+    return min(int((u >= cdf[:-1]).sum()), len(logits) - 1)
 
-    Draws the same random numbers, in the same order, as ``generate``.
+
+def sampler_oracle(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
+                   temps: list[float], seed: int) -> np.ndarray:
+    """The sampler one row at a time, as a taped forward over every head.
+
+    Row i takes l keys and then l uniforms from one stream, after the rows
+    before it; it unmasks its masked fields in increasing key order, the
+    t-th with the t-th uniform.
     """
-    l = model.n_fields
     rng = np.random.default_rng(seed)
-    free = [j for j in range(l) if j not in condition]
-    out = np.zeros((count, l), dtype=np.int64)
-    for start in range(0, count, batch_size):
-        n = min(batch_size, count - start)
-        tokens = np.zeros((n, l), dtype=np.int64)
-        mask = np.ones((n, l), dtype=bool)
-        for j, t in condition.items():
-            tokens[:, j] = t
-            mask[:, j] = False
-        for j in (rng.permutation(free) if free else []):
-            logits = model.forward(tokens, mask)[j].data
-            tokens[:, j] = sample_field(logits, temps[j], rng)
-            mask[:, j] = False
-        out[start:start + n] = tokens
-    return out
+    tokens = tokens.copy()
+    l = tokens.shape[1]
+    for row, masked in zip(tokens, mask):
+        keys, u = rng.random(l), rng.random(l)
+        masked = masked.copy()
+        for t, j in enumerate(sorted(np.flatnonzero(masked), key=lambda j: keys[j])):
+            logits = model.forward(np.where(masked, 0, row)[None], masked[None])[j].data[0]
+            row[j] = sample_row_oracle(logits, temps[j], u[t])
+            masked[j] = False
+    return tokens
+
+
+def generate_oracle(model: TabMTModel, temps: list[float], condition: dict,
+                    count: int, seed: int) -> np.ndarray:
+    """``generate`` as ``sampler_oracle`` of an all-masked table with the
+    conditioned cells observed."""
+    tokens = np.zeros((count, model.n_fields), dtype=np.int64)
+    mask = np.ones(tokens.shape, dtype=bool)
+    for j, t in condition.items():
+        tokens[:, j], mask[:, j] = t, False
+    return sampler_oracle(model, tokens, mask, temps, seed)
 
 
 def impute_oracle(model: TabMTModel, table: TokenTable, temps: list[float],
-                  seed: int, batch_size: int = 512) -> np.ndarray:
-    """Imputation as a taped forward over every head, keeping field j."""
-    rng = np.random.default_rng(seed)
-    tokens = table.tokens.copy()
-    n_total, l = tokens.shape
-    for start in range(0, n_total, batch_size):
-        batch = tokens[start:start + batch_size]
-        mask = table.missing[start:start + batch_size].copy()
-        for j in rng.permutation(l):
-            rows = mask[:, j]
-            if not rows.any():
-                continue
-            logits = model.forward(np.where(mask, 0, batch), mask)[j].data
-            batch[rows, j] = sample_field(logits[rows], temps[j], rng)
-            mask[:, j] = False
-    return tokens
+                  seed: int) -> np.ndarray:
+    """``impute`` as ``sampler_oracle`` of the table's missing cells."""
+    return sampler_oracle(model, table.tokens, table.missing, temps, seed)
 
 
 def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 300,
@@ -1188,8 +1205,7 @@ def cross_entropy_sum_oracle(logits, targets, active):
     return ad._make(out_data, (logits,), backward), count
 
 
-def sample_field_oracle(logits: np.ndarray, tau_u: float, rng: np.random.Generator
-                        ) -> np.ndarray:
+def sample_field_oracle(logits: np.ndarray, tau_u: float, u: np.ndarray) -> np.ndarray:
     """``generation.sample_field`` with each row's maximum from ``ndarray.max``."""
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
@@ -1201,8 +1217,7 @@ def sample_field_oracle(logits: np.ndarray, tau_u: float, rng: np.random.Generat
     p = np.exp(z)
     p /= p.sum(axis=-1, keepdims=True)
     cdf = np.cumsum(p, axis=-1)
-    u = rng.random((logits.shape[0], 1))
-    return np.minimum((u >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
+    return np.minimum((u[:, None] >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
 
 
 @contextlib.contextmanager

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -199,6 +200,27 @@ class TestCheckpointLoadFailsLoudly:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(join_checkpoint(header, blob))
         with pytest.raises(CheckpointError, match="non-empty list of centers"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("codec, key", [
+        ({"kind": "categorical", "values": "abcd"}, "values"),
+        ({"kind": "categorical", "values": ["a", "a", "b", "c"]}, "values"),
+        ({"kind": "categorical", "values": ["a", "b", "c", 5]}, "values"),
+        ({"kind": "continuous", "centers": ["1", "2"]}, "centers"),
+        ({"kind": "continuous", "centers": [True]}, "centers"),
+    ], ids=["values-string", "values-repeated", "values-number", "centers-strings",
+            "centers-bool"])
+    def test_malformed_codec_is_named(self, tmp_path, codec, key):
+        # Each of these loaded before: a string as its characters, a repeated
+        # or non-string value as a token no cell encodes to, and strings or
+        # booleans as numeric centres.
+        header, blob = split_checkpoint(saved_bytes(tmp_path))
+        header["codecs"][1] = codec
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(join_checkpoint(header, blob))
+        want = ("'values' must be a list of distinct strings" if key == "values"
+                else "'centers' must be a list of numbers")
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: codec 1: {want}$"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("edit", ["extra_category", "dtype"])

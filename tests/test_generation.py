@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,12 +12,15 @@ from conftest import (
     impute_oracle,
     make_toy_tokens,
     order_distribution_oracle,
+    sample_row_oracle,
 )
+from tabmt.autodiff import Tensor
 from tabmt.codec import decode_table, encode_table, fit_categorical, fit_continuous
 from tabmt.generation import (
+    ARGMAX_TAU,
     GenerationSpec,
-    _field_logits,
-    _field_order,
+    _draws,
+    _step_logits,
     generate,
     impute,
     sample_field,
@@ -38,19 +42,38 @@ class TestSampleField:
     def test_argmax_below_threshold(self):
         rng = np.random.default_rng(0)
         logits = np.array([[0.1, 3.0, -1.0]] * 50)
-        out = sample_field(logits, 1e-8, rng)
+        out = sample_field(logits, 1e-8, rng.random(50))
         assert np.all(out == 1)
 
     def test_unit_temperature_frequencies(self):
         rng = np.random.default_rng(1)
         logits = np.tile([math.log(3), 0.0], (100_000, 1))
-        out = sample_field(logits, 1.0, rng)
+        out = sample_field(logits, 1.0, rng.random(100_000))
         # softmax gives P(token 0) = 3/4
         assert abs((out == 0).mean() - 0.75) < 0.01
 
     def test_non_finite_logits_error(self):
         with pytest.raises(ValueError):
-            sample_field(np.array([[np.inf, 0.0]]), 1.0, np.random.default_rng(0))
+            sample_field(np.array([[np.inf, 0.0]]), 1.0, np.zeros(1))
+
+    def test_mixed_per_row_temperatures_and_widths(self):
+        # One call draws rows of different fields: each row's own width and
+        # temperature, argmax rows among them, match that row drawn alone.
+        rng = np.random.default_rng(3)
+        n, k = 400, 9
+        logits = rng.normal(0, 3, (n, k))
+        widths = rng.integers(1, k + 1, n)
+        tau = rng.choice([1e-8, ARGMAX_TAU / 2, ARGMAX_TAU, 0.3, 1.0, 4.0], n)
+        logits[np.arange(k) >= widths[:, None]] = np.nan  # padding is never read
+        u = rng.random(n)
+        out = sample_field(logits, tau, u, widths)
+        want = [sample_row_oracle(z[:w], t, v) for z, w, t, v in zip(logits, widths, tau, u)]
+        assert out.tolist() == want
+        assert np.all(out < widths)
+        cold = tau < ARGMAX_TAU
+        assert 0 < cold.sum() < n
+        assert np.array_equal(out[cold], [np.argmax(z[:w]) for z, w in
+                                          zip(logits[cold], widths[cold])])
 
     @given(st.floats(0.01, 100.0))
     @settings(max_examples=50, deadline=None)
@@ -208,8 +231,40 @@ def distinct_states(tokens, mask):
     return len(np.unique(np.where(mask, -1, tokens), axis=0))
 
 
+def expected_calls(out, mask, seed, batch_size):
+    """The ``count_forward_rows`` record the sampler should leave, replayed
+    from its output ``out``, the masked cells it filled and the orders
+    ``_draws`` gives each row: per step, one row with every field asked for
+    when the rows share one state, else one row per distinct (state, field)
+    pair. Draws are per row, so the whole table's are drawn at once."""
+    order, _ = _draws(np.random.default_rng(seed), mask)
+    calls = []
+    for start in range(0, len(out), batch_size):
+        o, m = out[start:start + batch_size], mask[start:start + batch_size].copy()
+        od, left = order[start:start + batch_size], m.sum(axis=1)
+        for t in range(left.max(initial=0)):
+            rows = np.flatnonzero(left > t)
+            f = od[rows, t]
+            state = np.where(m[rows], -1, o[rows])
+            if len(np.unique(state, axis=0)) == 1:
+                calls.append((1, (tuple(np.unique(f).tolist()),)))
+            else:
+                pairs = np.unique(np.column_stack([state, f]), axis=0)
+                calls.append((len(pairs), tuple(sorted((int(j),) for j in pairs[:, -1]))))
+            m[rows, f] = False
+    return calls
+
+
+def sorted_fields(calls):
+    """Each call's per-row fields in sorted order: the pairs' row order is
+    the sampler's own."""
+    return [(rows, tuple(sorted(fields))) for rows, fields in calls]
+
+
 class TestSingleHeadPathMatchesOracle:
-    """generate and impute give the tokens of the taped all-heads loop."""
+    """generate and impute give the tokens of the row-by-row reference
+    sampler, which draws the same numbers and runs a taped all-heads forward
+    per row and step."""
 
     @pytest.mark.parametrize("condition", [{}, {2: 1}, {0: 3, 3: 5}])
     def test_generate(self, condition):
@@ -217,7 +272,7 @@ class TestSingleHeadPathMatchesOracle:
         temps = (1.0, 0.7, 1e-8, 2.0)
         spec = GenerationSpec(count=70, temps=temps, condition=condition,
                               seed=9, batch_size=32)
-        want = generate_oracle(m, list(temps), condition, 70, 9, batch_size=32)
+        want = generate_oracle(m, list(temps), condition, 70, 9)
         assert np.array_equal(generate(m, spec).tokens, want)
 
     def test_generate_trained(self, trained_toy_model):
@@ -234,60 +289,72 @@ class TestSingleHeadPathMatchesOracle:
         tt = TokenTable(schema=None, tokens=tokens, missing=missing)
         temps = [1.0, 0.5, 1.0, 3.0]
         out = impute(m, tt, temps=temps, seed=2, batch_size=40)
-        want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
+        want = impute_oracle(m, tt, temps, seed=2)
         assert np.array_equal(out.tokens, want)
+
+    def test_tokens_do_not_depend_on_batch_size(self):
+        # A row's draws are its own, so batching changes only which rows
+        # share a forward.
+        m = mixed_model()
+        temps = (1.0, 0.7, 1e-8, 2.0)
+        outs = {bs: generate(m, GenerationSpec(count=90, temps=temps, seed=4,
+                                                batch_size=bs)).tokens
+                for bs in (1, 7, 32, 512)}
+        assert all(np.array_equal(o, outs[512]) for o in outs.values())
+        tt = sparse_table(m, 90, seed=8)
+        outs = [impute(m, tt, temps=temps, seed=4, batch_size=bs).tokens for bs in (1, 13, 512)]
+        assert all(np.array_equal(o, outs[-1]) for o in outs)
 
 
 class TestRowStateDedup:
-    """The encoder runs once per shared row state where the sharing does
-    not depend on the drawn field order."""
+    """Each step runs one encoder row per distinct (row state, field) pair,
+    or one row in all when every row shares its state."""
 
     def test_generate_first_step_runs_one_row(self):
         m = mixed_model()
-        l, count, bs = m.n_fields, 150, 64
+        count, bs = 150, 64
         spec = GenerationSpec(count=count, temps=(1.0, 0.7, 1.0, 2.0), seed=3,
                               batch_size=bs)
         with count_forward_rows() as calls:
             generate(m, spec)
-        assert len(calls) == l * 3
-        for b, start in enumerate(range(0, count, bs)):
-            n = min(bs, count - start)
-            assert [rows for rows, _ in calls[b * l:(b + 1) * l]] == [1] + [n] * (l - 1)
+        order, _ = _draws(np.random.default_rng(3), np.ones((count, m.n_fields), bool))
+        firsts = [c for c in calls if c[0] == 1]
+        assert len(firsts) == 3
+        for (rows, (asked,)), start in zip(firsts, range(0, count, bs)):
+            assert asked == tuple(np.unique(order[start:start + bs, 0]).tolist())
 
-    def test_generate_rows_do_not_depend_on_order(self):
+    def test_generate_rows_equal_distinct_state_field_pairs(self):
         m = mixed_model()
-        per_seed = set()
-        for seed in range(6):
+        for seed, bs, condition in ((0, 512, {}), (1, 40, {1: 3}), (2, 7, {})):
+            spec = GenerationSpec(count=100, temps=(1.0, 0.7, 1.0, 2.0), seed=seed,
+                                  condition=condition, batch_size=bs)
             with count_forward_rows() as calls:
-                generate(m, GenerationSpec(count=100, seed=seed))
-            per_seed.add(sum(rows for rows, _ in calls))
-        assert per_seed == {1 + 100 * (m.n_fields - 1)}
+                out = generate(m, spec).tokens
+            mask = np.ones(out.shape, dtype=bool)
+            mask[:, list(condition)] = False
+            assert sorted_fields(calls) == expected_calls(out, mask, seed, bs)
 
     def test_impute_runs_masked_rows_once_per_state(self):
         m = mixed_model()
         tt = sparse_table(m, 90, seed=5)
         with count_forward_rows() as calls:
             out = impute(m, tt, seed=2, batch_size=40).tokens
-        calls = iter(calls)
-        for start in range(0, 90, 40):
-            batch = out[start:start + 40]
-            mask = tt.missing[start:start + 40].copy()
-            for _ in range(int(mask.any(axis=0).sum())):
-                rows, (j,) = next(calls)
-                todo = mask[:, j]
-                assert rows == distinct_states(batch[todo], mask[todo])
-                assert rows <= todo.sum() < len(batch)
-                mask[:, j] = False
-            assert not mask.any()
-        assert next(calls, None) is None
+        want = expected_calls(out, tt.missing, 2, 40)
+        assert sorted_fields(calls) == want
+        # The first step already shares states: fewer rows than cells.
+        assert sum(rows for rows, _ in calls) < tt.missing.sum()
 
     def test_conditioned_generate_shares_first_step(self):
+        # At argmax temperatures a row's state after t steps depends only
+        # on its first t fields. 3 free fields have 6 orders, so a later
+        # step has at most 6 (state, field) pairs and the output 6 rows.
         m = mixed_model()
         spec = GenerationSpec(count=100, temps=(1e-8,) * 4, condition={2: 1}, seed=0)
         with count_forward_rows() as calls:
             out = generate(m, spec).tokens
-        assert [rows for rows, _ in calls] == [1, 100, 100]
-        assert np.all(out == out[0])
+        assert [rows for rows, _ in calls][0] == 1 and len(calls) == 3
+        assert all(rows <= 6 for rows, _ in calls[1:])
+        assert len(np.unique(out, axis=0)) <= 6 and np.all(out[:, 2] == 1)
 
     def test_float64_matches_oracle_and_full_batch_logits(self):
         m = mixed_model("float64")
@@ -295,21 +362,54 @@ class TestRowStateDedup:
         for condition in ({}, {2: 1}):
             spec = GenerationSpec(count=70, temps=tuple(temps), condition=condition,
                                   seed=9, batch_size=32)
-            want = generate_oracle(m, temps, condition, 70, 9, batch_size=32)
+            want = generate_oracle(m, temps, condition, 70, 9)
             assert np.array_equal(generate(m, spec).tokens, want)
         tt = sparse_table(m, 90, seed=6)
-        want = impute_oracle(m, tt, temps, seed=2, batch_size=40)
+        want = impute_oracle(m, tt, temps, seed=2)
         assert np.array_equal(impute(m, tt, temps=temps, seed=2, batch_size=40).tokens,
                               want)
         pool = sparse_table(m, 12, seed=7)
-        pick = np.random.default_rng(8).integers(0, 12, 200)
+        rng = np.random.default_rng(8)
+        pick = rng.integers(0, 12, 200)
         tokens, mask = pool.tokens[pick], pool.missing[pick]
+        fields = rng.integers(0, m.n_fields, 200)
         assert distinct_states(tokens, mask) <= 12
-        for j in range(m.n_fields):
-            full = m.forward(tokens, mask, fields=(j,))[0].data
+        with m.inference():
+            got = _step_logits(m, tokens, mask, fields, m.tied_weights())
+        assert got.shape == (200, max(m.cardinalities))
+        for i, j in enumerate(fields):
+            full = m.forward(tokens[i:i + 1], mask[i:i + 1])[j].data[0]
             assert full.dtype == np.float64
-            np.testing.assert_allclose(_field_logits(m, tokens, mask, j), full,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[i, :len(full)], full, rtol=0, atol=1e-12)
+
+
+def order_revealing(original):
+    """``TabMTModel.forward`` whose logits put the argmax of every head at
+    the number of cells already unmasked in the call's first row: at argmax
+    temperatures, generating from an unconditioned all-masked table then
+    writes into each cell the step at which its row sampled it. Every row
+    of a generation step has the same number of cells unmasked."""
+    def forward(self, tokens, mask, *args, **kwargs):
+        t = int((~np.asarray(mask)[0]).sum())
+        return [Tensor(np.where(np.arange(o.shape[1]) == t, 50.0, 0.0)
+                       * np.ones((o.shape[0], 1)))
+                for o in original(self, tokens, mask, *args, **kwargs)]
+    return forward
+
+
+@pytest.fixture
+def revealed_orders(monkeypatch):
+    """Each generated row's unmasking order, from an order-revealing forward
+    on four 4-way fields at argmax temperatures."""
+    m = TabMTModel([fit_categorical(list("abcd"))] * 4,
+                   ModelConfig(width=8, depth=1, heads=2), seed=0)
+    monkeypatch.setattr(TabMTModel, "forward", order_revealing(TabMTModel.forward))
+
+    def orders(count, seed, batch_size=512):
+        spec = GenerationSpec(count=count, temps=(1e-8,) * 4, seed=seed,
+                              batch_size=batch_size)
+        return np.argsort(generate(m, spec).tokens, axis=1, kind="stable")
+    return orders
 
 
 class TestImputeKeepsObservedCells:
@@ -372,20 +472,28 @@ class TestOrderDistribution:
                 cond_train = train_freq[s] / stratum
                 assert abs(gen_dist[t][s] - cond_train) < 0.01
 
-    def test_generate_and_impute_follow_field_order(self):
-        # The order function the tests above sample is the one that ships:
-        # each call's first draw is its first batch's order.
+    def test_generate_and_impute_follow_field_order(self, revealed_orders):
+        # The orders the tests above sample are the ones the sampler unmasks:
+        # generate's, read from its tokens, and impute's, from its forwards.
+        got = revealed_orders(300, seed=13, batch_size=128)
+        want, _ = _draws(np.random.default_rng(13), np.ones((300, 4), bool))
+        assert np.array_equal(got, want)
         m = mixed_model()
-        with count_forward_rows() as calls:
-            generate(m, GenerationSpec(count=5, condition={1: 0}, seed=13))
-        want = _field_order([0, 2, 3], np.random.default_rng(13))
-        assert [f for _, (f,) in calls] == want.tolist()
         tt = sparse_table(m, 30, seed=1, p_missing=0.9)
         assert tt.missing.any(axis=0).all()
         with count_forward_rows() as calls:
-            impute(m, tt, seed=14)
-        want = _field_order(range(m.n_fields), np.random.default_rng(14))
-        assert [f for _, (f,) in calls] == want.tolist()
+            out = impute(m, tt, seed=14)
+        assert sorted_fields(calls) == expected_calls(out.tokens, tt.missing, 14, 512)
+
+    def test_first_fields_of_two_rows_in_a_batch_are_independent(self, revealed_orders):
+        # Pairs of neighbouring rows in one batch: a shared order per batch
+        # puts every pair on the diagonal of the 4 x 4 table of first fields.
+        first = revealed_orders(2048, seed=21, batch_size=2048)[:, 0]
+        table = np.zeros((4, 4))
+        np.add.at(table, (first[0::2], first[1::2]), 1)
+        assert (table.sum(axis=0) > 0).all() and (table.sum(axis=1) > 0).all(), table
+        assert scipy.stats.chi2_contingency(table).pvalue > 0.001
+        assert scipy.stats.chisquare(np.bincount(first, minlength=4)).pvalue > 0.001
 
     def test_fixed_order_visits_only_l_subsets(self):
         # An autoregressive fixed order visits exactly l distinct non-empty

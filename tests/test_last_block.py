@@ -47,6 +47,24 @@ def test_subset_logits_match_full_forward(l, n, dtype):
                 np.testing.assert_allclose(t.data, full[j], rtol=0, atol=PRUNED_ATOL[dtype])
 
 
+@pytest.mark.parametrize("l, n, dtype", GRID)
+def test_per_row_fields_match_full_forward(l, n, dtype):
+    """Per-row fields: one tensor per distinct field, over the (row, slot)
+    pairs asking for it in row-major order, each row to the full forward's
+    logits; the shared tied weights change no bit."""
+    m, tokens, mask = case(l, n, dtype)
+    fields = np.random.default_rng(l + n).integers(0, l, (n, 2))
+    with m.inference():
+        full = [t.data for t in m.forward(tokens, mask)]
+        got = m.forward(tokens, mask, None, fields)
+        shared = m.forward(tokens, mask, None, fields, m.tied_weights())
+    assert len(got) == len(np.unique(fields))
+    for t, s, j in zip(got, shared, np.unique(fields)):
+        rows = np.nonzero(fields == j)[0]
+        assert t.data.dtype == np.dtype(dtype) and t.data.tobytes() == s.data.tobytes()
+        np.testing.assert_allclose(t.data, full[j][rows], rtol=0, atol=PRUNED_ATOL[dtype])
+
+
 def test_taped_subset_equals_untaped():
     """The taped subset path gives the inference path's logits, bit for bit."""
     m, tokens, mask = case(8, 16, "float32")
@@ -95,6 +113,9 @@ def test_last_block_ffn_rows(l, n):
         for fields in subsets(l):
             got = ffn_rows(lambda: m.forward(tokens, mask, fields=fields))
             assert got == [n * l] * (depth - 1) + [n * len(fields)]
+        per_row = np.zeros((n, 1), dtype=np.int64)
+        assert ffn_rows(lambda: m.forward(tokens, mask, None, per_row)) == \
+            [n * l] * (depth - 1) + [n]
     m.training = True
     got = ffn_rows(lambda: m.forward(tokens, mask, fields=(l - 1,)))
     assert got == [n * l] * (depth - 1) + [n]
