@@ -309,9 +309,9 @@ def transpose(a, axes) -> Tensor:
 
 
 def gather_rows(weight, idx) -> Tensor:
-    """Embedding lookup: ``weight[idx]`` with scatter-add backward."""
+    """Embedding lookup: ``weight[idx]``, for an index array or a tuple of
+    them, with scatter-add backward."""
     weight = _as_tensor(weight)
-    idx = np.asarray(idx)
     out_data = weight.data[idx]
     nw, sw, dw = weight.node, weight.data.shape, weight.data.dtype
 

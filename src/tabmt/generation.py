@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import distinct_rows, softmax_rows
-from .model import TabMTModel
+from .autodiff import softmax_rows
+from .model import TabMTModel, distinct_states
 from .schema import TokenTable
 
 ARGMAX_TAU = 1e-6
@@ -30,40 +30,23 @@ class GenerationSpec:
             raise ValueError("batch_size must be positive")
 
 
-def sample_field(logits: np.ndarray, tau, u: np.ndarray, widths=None) -> np.ndarray:
-    """One categorical draw per row i from softmax(logits[i, :widths[i]] / tau[i]),
-    the inverse CDF at the uniform u[i].
+def sample_field(logits: np.ndarray, tau: float, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per row i from softmax(logits[i] / tau), the
+    inverse CDF at the uniform u[i]. The rows are one field's logits, so
+    they share one width and one temperature.
 
-    ``tau`` and ``widths`` hold one value per row or one for every row;
-    ``widths`` defaults to every column. A row whose temperature is below
-    ARGMAX_TAU takes the zero-temperature limit exactly (argmax), to avoid
-    overflow, and leaves its uniform unused. Rows of one width are drawn
-    together, so each row's sums run over its own width alone.
+    Below ARGMAX_TAU the zero-temperature limit is taken exactly (argmax),
+    to avoid overflow, and the uniforms go unused.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    n, k = logits.shape
-    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (n,))
-    widths = np.broadcast_to(k if widths is None else widths, (n,))
-    u = np.asarray(u, dtype=np.float64).reshape(n)
-    out = np.empty(n, dtype=np.int64)
-    cold = tau < ARGMAX_TAU
-    if cold.any():
-        z, valid = logits[cold], np.arange(k) < widths[cold, None]
-        if not np.isfinite(z[valid]).all():
-            raise ValueError("non-finite logits")
-        out[cold] = np.argmax(np.where(valid, z, -np.inf), axis=-1)
-    hot = np.flatnonzero(~cold)
-    hot = hot[np.argsort(widths[hot], kind="stable")]
-    cuts = np.flatnonzero(np.diff(widths[hot])) + 1
-    for rows in np.split(hot, cuts) if len(hot) else ():
-        w = widths[rows[0]]
-        z = logits[rows, :w]
-        if not np.isfinite(z).all():
-            raise ValueError("non-finite logits")
-        z = z / tau[rows, None]
-        cdf = np.cumsum(softmax_rows(z, z), axis=-1)
-        out[rows] = np.minimum((u[rows, None] >= cdf[:, :-1]).sum(axis=-1), w - 1)
-    return out
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits")
+    if tau < ARGMAX_TAU:
+        return np.argmax(logits, axis=-1)
+    z = logits / tau
+    cdf = np.cumsum(softmax_rows(z, z), axis=-1)
+    u = np.asarray(u, dtype=np.float64).reshape(-1, 1)
+    return np.minimum((u >= cdf[:, :-1]).sum(axis=-1), logits.shape[-1] - 1)
 
 
 def _checked_temps(temps, l: int) -> list[float]:
@@ -93,30 +76,30 @@ def _draws(rng: np.random.Generator, mask: np.ndarray) -> tuple[np.ndarray, np.n
     return np.argsort(np.where(mask, keys, 2.0), axis=1, kind="stable"), u
 
 
-def _step_logits(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
-                 fields: np.ndarray, weights) -> np.ndarray:
-    """Row i's logits for its field ``fields[i]``, as float64 in the first
-    cardinality-of-that-field columns of a row as wide as the widest field;
-    the rest of the row is left unset.
+def _step(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray, fields: np.ndarray,
+          temps: np.ndarray, u: np.ndarray, weights) -> np.ndarray:
+    """Row i's draw for its field ``fields[i]`` at the uniform ``u[i]``.
 
-    One forward runs each distinct (row state, field) pair once, with the
-    last block at its field; when every row is in one state, as at
-    generation's first step, it runs that one row with the last block at
-    each field asked for.
+    One forward runs each distinct row state once, with the last block at
+    the sorted distinct fields that state's rows ask for; a state asking for
+    fewer fields than the most any state asks for repeats its first field.
+    Each field's rows are drawn from that field's logits at its temperature.
     """
-    state = np.where(mask, -1, tokens)
-    if (state == state[0]).all():
-        src, at = [0], np.unique(fields)[None, :]
-        slot = np.searchsorted(at[0], fields)
-    else:
-        src, slot, _ = distinct_rows(np.column_stack([state, fields]))
-        at = fields[src, None]
-    # Field j's output rows are the positions of ``at`` asking for j, in order.
-    flat = at.ravel()
-    logits = np.empty((len(flat), max(model.cardinalities)))
-    for j, out in zip(np.unique(flat), model.forward(tokens[src], mask[src], None, at, weights)):
-        logits[flat == j, :out.shape[1]] = out.data
-    return logits[slot]
+    src, state = distinct_states(tokens, mask)
+    asked = np.zeros((len(src), model.n_fields), dtype=bool)
+    asked[state, fields] = True
+    count = asked.sum(axis=1, keepdims=True)
+    at = np.argsort(~asked, axis=1, kind="stable")[:, :count.max()]
+    at = np.where(np.arange(at.shape[1]) < count, at, at[:, :1])
+    out = np.empty(len(tokens), dtype=np.int64)
+    for j, logits in zip(np.unique(at), model.forward(tokens[src], mask[src], None, at, weights)):
+        # Field j's logits rows are the positions of ``at`` holding j, in
+        # row-major order; a padded state holds j twice, and its first is taken.
+        owner = np.nonzero(at == j)[0]
+        rows = np.flatnonzero(fields == j)
+        out[rows] = sample_field(logits.data[np.searchsorted(owner, state[rows])],
+                                 temps[j], u[rows])
+    return out
 
 
 def _sample(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
@@ -125,7 +108,6 @@ def _sample(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
     time, each row in its own order (``_draws``): step t samples each row's
     t-th masked field from softmax(logits / tau) and unmasks it."""
     temps = np.asarray(temps)
-    widths = np.asarray(model.cardinalities)
     rng = np.random.default_rng(seed)
     with model.inference():
         weights = model.tied_weights()
@@ -137,8 +119,8 @@ def _sample(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
             for t in range(left.max(initial=0)):
                 rows = np.flatnonzero(left > t)
                 f = order[rows, t]
-                logits = _step_logits(model, batch[rows], m[rows], f, weights)
-                batch[rows, f] = sample_field(logits, temps[f], u[rows, t], widths[f])
+                batch[rows, f] = _step(model, batch[rows], m[rows], f, temps, u[rows, t],
+                                       weights)
                 m[rows, f] = False
 
 

@@ -282,17 +282,14 @@ class TabMTModel:
     def forward(self, tokens: np.ndarray, mask: np.ndarray,
                 rng: np.random.Generator | None = None,
                 fields=None, weights: list[Tensor] | None = None) -> list[Tensor]:
-        """Per-field logits, each of shape (n, cardinality_j).
-
-        ``fields`` lists the fields whose heads to run, in the order given
-        (default: all); sampling one field needs one head, not l. As an
-        (n, q) integer array it gives each row its own q fields instead;
-        the result then holds one tensor per distinct field j, in increasing
-        order, whose rows are the (row, slot) pairs asking for j, in
-        row-major order. A forward that asks for some heads computes the
-        last encoder block only at their positions: its keys and values
-        still cover every position, so the logits match the full forward's
-        up to rounding, not bit for bit.
+        """Per-field logits: one (n, cardinality_j) tensor per field, in
+        order. When ``fields`` is an (n, q) integer array, which gives each
+        row its own q fields, one tensor per distinct field j asked for, in
+        increasing order, whose rows are the (row, slot) pairs asking for j
+        in row-major order; sampling a field needs its head alone. Such a
+        forward computes the last encoder block only at the asked
+        positions: its keys and values still cover every position, so the
+        logits match the full forward's up to rounding, not bit for bit.
 
         ``weights`` are ``tied_weights()``, for a caller that runs many
         forwards on unchanged parameters; by default each lookup and head
@@ -300,18 +297,13 @@ class TabMTModel:
         """
         ws = weights or [None] * self.n_fields
         if fields is None:
-            fields, at = range(self.n_fields), None
-        elif isinstance(fields, np.ndarray) and fields.ndim == 2:
-            at = np.arange(self.n_fields)[fields]
-            h = self._hidden(tokens, mask, rng, at, weights)
-            h = ad.reshape(h, (-1, h.shape[-1]))
-            return [self.heads[j].forward(ad.gather_rows(h, np.flatnonzero(at.ravel() == j)),
-                                          ws[j]) for j in np.unique(at)]
-        else:
-            fields = list(fields)
-            at = np.tile(np.arange(self.n_fields)[fields], (len(tokens), 1))
+            h = self._hidden(tokens, mask, rng, None, weights)
+            return [self.heads[j].forward(ad.select(h, 1, j), ws[j])
+                    for j in range(self.n_fields)]
+        at = np.arange(self.n_fields)[fields]
         h = self._hidden(tokens, mask, rng, at, weights)
-        return [self.heads[j].forward(ad.select(h, 1, t), ws[j]) for t, j in enumerate(fields)]
+        return [self.heads[j].forward(ad.gather_rows(h, np.nonzero(at == j)), ws[j])
+                for j in np.unique(at)]
 
     def embed_rows(self, tokens: np.ndarray,
                    missing: np.ndarray | None = None) -> np.ndarray:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import settings
 
 from tabmt import autodiff as ad
-from tabmt import cli, metrics, pareto
+from tabmt import cli, generation, metrics, pareto
 from tabmt.autodiff import Parameter, Tensor, row_max
 from tabmt.checkpoint import FORMAT_VERSION, MAGIC, CheckpointError
 from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _field, _finite,
@@ -29,7 +29,7 @@ from tabmt.codec import (CategoricalCodec, CodecError, ContinuousCodec, _field, 
 from tabmt.flowcheck import (DNS_BYTES_PER_PACKET, MAX_FRAME_BYTES, MIN_FRAME_BYTES,
                              NETBIOS_PORTS, RULES, WELL_KNOWN_TCP_PORTS, FlowError, FlowRecord,
                              InvariantReport, decompose_timestamp)
-from tabmt.generation import _draws
+from tabmt.generation import ARGMAX_TAU, _draws
 from tabmt.metrics import (_TINY, _U, CLASSIFY, REGRESS, MetricError, _kth_dists, _macro_f1,
                            _screen, _sq_dists, _train_logistic)
 from tabmt.model import (CategoricalEmbedding, DynamicLinear, ModelConfig, OrderedEmbedding,
@@ -425,15 +425,12 @@ def order_distribution_oracle(l: int, samples: int, rng: np.random.Generator
 def count_forward_rows():
     """Record ``(rows, fields)`` for every ``TabMTModel.forward`` call made
     inside the block; the original method is restored on exit. ``fields``
-    is None, a tuple of fields, or, for per-row fields, a tuple of tuples."""
+    is None or, for per-row fields, a tuple of tuples."""
     calls: list[tuple[int, tuple | None]] = []
     original = TabMTModel.forward
 
     def counted(self, tokens, mask, rng=None, fields=None, weights=None):
-        if isinstance(fields, np.ndarray) and fields.ndim == 2:
-            asked = tuple(tuple(map(int, row)) for row in fields)
-        else:
-            asked = None if fields is None else tuple(int(j) for j in fields)
+        asked = None if fields is None else tuple(tuple(map(int, row)) for row in fields)
         calls.append((len(tokens), asked))
         return original(self, tokens, mask, rng, fields, weights)
 
@@ -486,17 +483,15 @@ PRUNED_ATOL = {"float32": 5e-6, "float64": 2e-14}
 def forward_selecting(self, tokens: np.ndarray, mask: np.ndarray,
                       rng: np.random.Generator | None = None,
                       fields=None, weights=None) -> list[Tensor]:
-    """Oracle for ``TabMTModel.forward`` on a subset of heads: the whole
-    last block at every position, then each head's position selected; for
-    per-row fields, field j's position of each row asking for it. Each head
-    computes its own tied weight."""
+    """Oracle for ``TabMTModel.forward``: the whole last block at every
+    position, then, for per-row fields, field j's position of each row
+    asking for it. Each head computes its own tied weight."""
     h = self._hidden(tokens, mask, rng)
-    if isinstance(fields, np.ndarray) and fields.ndim == 2:
-        return [self.heads[j].forward(ad.gather_rows(ad.select(h, 1, j),
-                                                     np.nonzero(fields == j)[0]))
-                for j in np.unique(fields)]
-    fields = range(self.n_fields) if fields is None else fields
-    return [self.heads[j].forward(ad.select(h, 1, j)) for j in fields]
+    if fields is None:
+        return [self.heads[j].forward(ad.select(h, 1, j)) for j in range(self.n_fields)]
+    return [self.heads[j].forward(ad.gather_rows(ad.select(h, 1, j),
+                                                 np.nonzero(fields == j)[0]))
+            for j in np.unique(fields)]
 
 
 def block_forward_every_position(self, x: Tensor, rng, training) -> Tensor:
@@ -873,6 +868,89 @@ def impute_oracle(model: TabMTModel, table: TokenTable, temps: list[float],
                   seed: int) -> np.ndarray:
     """``impute`` as ``sampler_oracle`` of the table's missing cells."""
     return sampler_oracle(model, table.tokens, table.missing, temps, seed)
+
+
+# ---- the sampler before one rule per step ---------------------------------
+# Each step ran one encoder row per distinct (row state, field) pair, or one
+# row with the last block at every field asked for when all rows shared one
+# state; it scattered each field's logits into a (pairs, widest field)
+# buffer, gathered it back per row and drew rows of one width together with
+# per-row temperatures. The bodies are kept verbatim; only the names differ.
+
+def sample_field_by_width(logits: np.ndarray, tau, u: np.ndarray, widths=None) -> np.ndarray:
+    logits = np.asarray(logits, dtype=np.float64)
+    n, k = logits.shape
+    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (n,))
+    widths = np.broadcast_to(k if widths is None else widths, (n,))
+    u = np.asarray(u, dtype=np.float64).reshape(n)
+    out = np.empty(n, dtype=np.int64)
+    cold = tau < ARGMAX_TAU
+    if cold.any():
+        z, valid = logits[cold], np.arange(k) < widths[cold, None]
+        if not np.isfinite(z[valid]).all():
+            raise ValueError("non-finite logits")
+        out[cold] = np.argmax(np.where(valid, z, -np.inf), axis=-1)
+    hot = np.flatnonzero(~cold)
+    hot = hot[np.argsort(widths[hot], kind="stable")]
+    cuts = np.flatnonzero(np.diff(widths[hot])) + 1
+    for rows in np.split(hot, cuts) if len(hot) else ():
+        w = widths[rows[0]]
+        z = logits[rows, :w]
+        if not np.isfinite(z).all():
+            raise ValueError("non-finite logits")
+        z = z / tau[rows, None]
+        cdf = np.cumsum(ad.softmax_rows(z, z), axis=-1)
+        out[rows] = np.minimum((u[rows, None] >= cdf[:, :-1]).sum(axis=-1), w - 1)
+    return out
+
+
+def step_logits_per_pair(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
+                         fields: np.ndarray, weights) -> np.ndarray:
+    state = np.where(mask, -1, tokens)
+    if (state == state[0]).all():
+        src, at = [0], np.unique(fields)[None, :]
+        slot = np.searchsorted(at[0], fields)
+    else:
+        src, slot, _ = ad.distinct_rows(np.column_stack([state, fields]))
+        at = fields[src, None]
+    # Field j's output rows are the positions of ``at`` asking for j, in order.
+    flat = at.ravel()
+    logits = np.empty((len(flat), max(model.cardinalities)))
+    for j, out in zip(np.unique(flat), model.forward(tokens[src], mask[src], None, at, weights)):
+        logits[flat == j, :out.shape[1]] = out.data
+    return logits[slot]
+
+
+def sample_per_pair(model: TabMTModel, tokens: np.ndarray, mask: np.ndarray,
+                    temps: list[float], seed: int, batch_size: int):
+    temps = np.asarray(temps)
+    widths = np.asarray(model.cardinalities)
+    rng = np.random.default_rng(seed)
+    with model.inference():
+        weights = model.tied_weights()
+        for start in range(0, len(tokens), batch_size):
+            batch = tokens[start:start + batch_size]  # a view: samples land in tokens
+            m = mask[start:start + batch_size].copy()
+            order, u = _draws(rng, m)
+            left = m.sum(axis=1)
+            for t in range(left.max(initial=0)):
+                rows = np.flatnonzero(left > t)
+                f = order[rows, t]
+                logits = step_logits_per_pair(model, batch[rows], m[rows], f, weights)
+                batch[rows, f] = sample_field_by_width(logits, temps[f], u[rows, t], widths[f])
+                m[rows, f] = False
+
+
+@contextlib.contextmanager
+def per_pair_sampler():
+    """Run ``generate`` and ``impute`` inside the block on the per-pair
+    sampler above; the module gets its own ``_sample`` back on exit."""
+    saved = generation._sample
+    generation._sample = sample_per_pair
+    try:
+        yield
+    finally:
+        generation._sample = saved
 
 
 def train_logistic_taped(x: np.ndarray, y: np.ndarray, n_classes: int, steps: int = 300,

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -11,7 +12,9 @@ from conftest import (
     generate_oracle,
     impute_oracle,
     make_toy_tokens,
+    mixed_case,
     order_distribution_oracle,
+    per_pair_sampler,
     sample_row_oracle,
 )
 from tabmt.autodiff import Tensor
@@ -20,7 +23,7 @@ from tabmt.generation import (
     ARGMAX_TAU,
     GenerationSpec,
     _draws,
-    _step_logits,
+    _step,
     generate,
     impute,
     sample_field,
@@ -55,25 +58,6 @@ class TestSampleField:
     def test_non_finite_logits_error(self):
         with pytest.raises(ValueError):
             sample_field(np.array([[np.inf, 0.0]]), 1.0, np.zeros(1))
-
-    def test_mixed_per_row_temperatures_and_widths(self):
-        # One call draws rows of different fields: each row's own width and
-        # temperature, argmax rows among them, match that row drawn alone.
-        rng = np.random.default_rng(3)
-        n, k = 400, 9
-        logits = rng.normal(0, 3, (n, k))
-        widths = rng.integers(1, k + 1, n)
-        tau = rng.choice([1e-8, ARGMAX_TAU / 2, ARGMAX_TAU, 0.3, 1.0, 4.0], n)
-        logits[np.arange(k) >= widths[:, None]] = np.nan  # padding is never read
-        u = rng.random(n)
-        out = sample_field(logits, tau, u, widths)
-        want = [sample_row_oracle(z[:w], t, v) for z, w, t, v in zip(logits, widths, tau, u)]
-        assert out.tolist() == want
-        assert np.all(out < widths)
-        cold = tau < ARGMAX_TAU
-        assert 0 < cold.sum() < n
-        assert np.array_equal(out[cold], [np.argmax(z[:w]) for z, w in
-                                          zip(logits[cold], widths[cold])])
 
     @given(st.floats(0.01, 100.0))
     @settings(max_examples=50, deadline=None)
@@ -231,12 +215,33 @@ def distinct_states(tokens, mask):
     return len(np.unique(np.where(mask, -1, tokens), axis=0))
 
 
+@contextlib.contextmanager
+def step_forwards():
+    """Record every ``TabMTModel.forward`` call made inside the block as its
+    rows' (state, fields) pairs, sorted: each row's tokens with -1 at masked
+    cells, and the fields its last block runs at."""
+    calls = []
+    original = TabMTModel.forward
+
+    def recorded(self, tokens, mask, rng=None, fields=None, weights=None):
+        state = np.where(mask, -1, tokens).tolist()
+        calls.append(sorted(zip(map(tuple, state), map(tuple, fields.tolist()))))
+        return original(self, tokens, mask, rng, fields, weights)
+
+    TabMTModel.forward = recorded
+    try:
+        yield calls
+    finally:
+        TabMTModel.forward = original
+
+
 def expected_calls(out, mask, seed, batch_size):
-    """The ``count_forward_rows`` record the sampler should leave, replayed
-    from its output ``out``, the masked cells it filled and the orders
-    ``_draws`` gives each row: per step, one row with every field asked for
-    when the rows share one state, else one row per distinct (state, field)
-    pair. Draws are per row, so the whole table's are drawn at once."""
+    """The ``step_forwards`` record the sampler should leave, replayed from
+    its output ``out``, the masked cells it filled and the orders ``_draws``
+    gives each row: per step, one row per distinct row state, whose last
+    block runs at the sorted distinct fields that state's rows ask for,
+    padded with the first of them to the most any state asks for. Draws
+    are per row, so the whole table's are drawn at once."""
     order, _ = _draws(np.random.default_rng(seed), mask)
     calls = []
     for start in range(0, len(out), batch_size):
@@ -245,20 +250,14 @@ def expected_calls(out, mask, seed, batch_size):
         for t in range(left.max(initial=0)):
             rows = np.flatnonzero(left > t)
             f = od[rows, t]
-            state = np.where(m[rows], -1, o[rows])
-            if len(np.unique(state, axis=0)) == 1:
-                calls.append((1, (tuple(np.unique(f).tolist()),)))
-            else:
-                pairs = np.unique(np.column_stack([state, f]), axis=0)
-                calls.append((len(pairs), tuple(sorted((int(j),) for j in pairs[:, -1]))))
+            asked = {}
+            for state, j in zip(map(tuple, np.where(m[rows], -1, o[rows]).tolist()), f.tolist()):
+                asked.setdefault(state, set()).add(j)
+            q = max(map(len, asked.values()))
+            calls.append(sorted((state, tuple(sorted(js)) + (min(js),) * (q - len(js)))
+                                for state, js in asked.items()))
             m[rows, f] = False
     return calls
-
-
-def sorted_fields(calls):
-    """Each call's per-row fields in sorted order: the pairs' row order is
-    the sampler's own."""
-    return [(rows, tuple(sorted(fields))) for rows, fields in calls]
 
 
 class TestSingleHeadPathMatchesOracle:
@@ -306,9 +305,43 @@ class TestSingleHeadPathMatchesOracle:
         assert all(np.array_equal(o, outs[-1]) for o in outs)
 
 
+class TestOneRuleMatchesPerPairSampler:
+    """generate and impute give the tokens, byte for byte, of the sampler
+    that ran one encoder row per distinct (row state, field) pair and drew
+    rows of one width together (``conftest.per_pair_sampler``)."""
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 512])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_generate_and_impute(self, dtype, batch_size):
+        # Six mixed fields, one of them 1,000-way, on a model whose config
+        # sets dropout, which the sampler's inference mode turns off.
+        model, tokens, missing, _ = mixed_case(6, seed=31, dtype=dtype, n=60)
+        m = model()
+        table = TokenTable(schema=None, tokens=tokens, missing=missing)
+        for temps in ((1e-8,) * 6, (1.0, 0.4, 1e-8, 2.5, 1.0, ARGMAX_TAU)):
+            for condition in ({}, {3: 417, 0: 1}):
+                spec = GenerationSpec(count=60, temps=temps, condition=condition, seed=5,
+                                      batch_size=batch_size)
+                got = generate(m, spec).tokens
+                with per_pair_sampler():
+                    want = generate(m, spec).tokens
+                assert got.tobytes() == want.tobytes(), (temps, condition)
+            got = impute(m, table, temps=temps, seed=6, batch_size=batch_size).tokens
+            with per_pair_sampler():
+                want = impute(m, table, temps=temps, seed=6, batch_size=batch_size).tokens
+            assert got.tobytes() == want.tobytes(), temps
+
+    def test_trained(self, trained_toy_model):
+        spec = GenerationSpec(count=400, seed=12, batch_size=64)
+        got = generate(trained_toy_model, spec).tokens
+        with per_pair_sampler():
+            want = generate(trained_toy_model, spec).tokens
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRowStateDedup:
-    """Each step runs one encoder row per distinct (row state, field) pair,
-    or one row in all when every row shares its state."""
+    """Each step runs one encoder row per distinct row state, with the last
+    block at the distinct fields that state's rows ask for."""
 
     def test_generate_first_step_runs_one_row(self):
         m = mixed_model()
@@ -323,40 +356,40 @@ class TestRowStateDedup:
         for (rows, (asked,)), start in zip(firsts, range(0, count, bs)):
             assert asked == tuple(np.unique(order[start:start + bs, 0]).tolist())
 
-    def test_generate_rows_equal_distinct_state_field_pairs(self):
+    def test_generate_rows_equal_distinct_states(self):
         m = mixed_model()
         for seed, bs, condition in ((0, 512, {}), (1, 40, {1: 3}), (2, 7, {})):
             spec = GenerationSpec(count=100, temps=(1.0, 0.7, 1.0, 2.0), seed=seed,
                                   condition=condition, batch_size=bs)
-            with count_forward_rows() as calls:
+            with step_forwards() as calls:
                 out = generate(m, spec).tokens
             mask = np.ones(out.shape, dtype=bool)
             mask[:, list(condition)] = False
-            assert sorted_fields(calls) == expected_calls(out, mask, seed, bs)
+            assert calls == expected_calls(out, mask, seed, bs)
 
     def test_impute_runs_masked_rows_once_per_state(self):
         m = mixed_model()
         tt = sparse_table(m, 90, seed=5)
-        with count_forward_rows() as calls:
+        with step_forwards() as calls:
             out = impute(m, tt, seed=2, batch_size=40).tokens
-        want = expected_calls(out, tt.missing, 2, 40)
-        assert sorted_fields(calls) == want
+        assert calls == expected_calls(out, tt.missing, 2, 40)
         # The first step already shares states: fewer rows than cells.
-        assert sum(rows for rows, _ in calls) < tt.missing.sum()
+        assert sum(map(len, calls)) < tt.missing.sum()
 
     def test_conditioned_generate_shares_first_step(self):
         # At argmax temperatures a row's state after t steps depends only
-        # on its first t fields. 3 free fields have 6 orders, so a later
-        # step has at most 6 (state, field) pairs and the output 6 rows.
+        # on its first t fields. 3 free fields give 3 first fields and 6
+        # orders, so the second step has at most 3 states, the third at
+        # most 6, and the output at most 6 distinct rows.
         m = mixed_model()
         spec = GenerationSpec(count=100, temps=(1e-8,) * 4, condition={2: 1}, seed=0)
         with count_forward_rows() as calls:
             out = generate(m, spec).tokens
-        assert [rows for rows, _ in calls][0] == 1 and len(calls) == 3
-        assert all(rows <= 6 for rows, _ in calls[1:])
+        rows = [rows for rows, _ in calls]
+        assert len(rows) == 3 and rows[0] == 1 and rows[1] <= 3 and rows[2] <= 6
         assert len(np.unique(out, axis=0)) <= 6 and np.all(out[:, 2] == 1)
 
-    def test_float64_matches_oracle_and_full_batch_logits(self):
+    def test_float64_matches_oracle_and_full_batch_logits(self, monkeypatch):
         m = mixed_model("float64")
         temps = [1.0, 0.7, 1e-8, 2.0]
         for condition in ({}, {2: 1}):
@@ -368,19 +401,40 @@ class TestRowStateDedup:
         want = impute_oracle(m, tt, temps, seed=2)
         assert np.array_equal(impute(m, tt, temps=temps, seed=2, batch_size=40).tokens,
                               want)
+        # One step on 200 rows in at most 12 states: its forward's logits
+        # match the full forward of each state, and each row draws from its
+        # own state's logits for its own field.
         pool = sparse_table(m, 12, seed=7)
         rng = np.random.default_rng(8)
         pick = rng.integers(0, 12, 200)
         tokens, mask = pool.tokens[pick], pool.missing[pick]
-        fields = rng.integers(0, m.n_fields, 200)
-        assert distinct_states(tokens, mask) <= 12
+        fields, u = rng.integers(0, m.n_fields, 200), rng.random(200)
+        forwards = []
+        full_forward = TabMTModel.forward
+
+        def recorded(self, tokens, mask, rng=None, fields=None, weights=None):
+            out = full_forward(self, tokens, mask, rng, fields, weights)
+            forwards.append((tokens, mask, fields, [t.data for t in out]))
+            return out
+
+        monkeypatch.setattr(TabMTModel, "forward", recorded)
         with m.inference():
-            got = _step_logits(m, tokens, mask, fields, m.tied_weights())
-        assert got.shape == (200, max(m.cardinalities))
+            got = _step(m, tokens, mask, fields, np.asarray(temps), u, m.tied_weights())
+        ((src_tokens, src_mask, at, outs),) = forwards
+        assert len(src_tokens) == distinct_states(tokens, mask) == distinct_states(src_tokens,
+                                                                                   src_mask)
+        full = [[t.data[0] for t in full_forward(m, src_tokens[s:s + 1], src_mask[s:s + 1])]
+                for s in range(len(src_tokens))]
+        for j, out in zip(np.unique(at), outs):
+            owners = np.flatnonzero(at.ravel() == j) // at.shape[1]
+            assert len(out) == len(owners)
+            for logits, s in zip(out, owners):
+                assert full[s][j].dtype == np.float64
+                np.testing.assert_allclose(logits, full[s][j], rtol=0, atol=1e-12)
+        states = np.where(src_mask, -1, src_tokens)
         for i, j in enumerate(fields):
-            full = m.forward(tokens[i:i + 1], mask[i:i + 1])[j].data[0]
-            assert full.dtype == np.float64
-            np.testing.assert_allclose(got[i, :len(full)], full, rtol=0, atol=1e-12)
+            s = np.flatnonzero((states == np.where(mask[i], -1, tokens[i])).all(axis=1))[0]
+            assert got[i] == sample_row_oracle(full[s][j], temps[j], u[i])
 
 
 def order_revealing(original):
@@ -481,9 +535,12 @@ class TestOrderDistribution:
         m = mixed_model()
         tt = sparse_table(m, 30, seed=1, p_missing=0.9)
         assert tt.missing.any(axis=0).all()
-        with count_forward_rows() as calls:
+        with step_forwards() as calls:
             out = impute(m, tt, seed=14)
-        assert sorted_fields(calls) == expected_calls(out.tokens, tt.missing, 14, 512)
+        assert calls == expected_calls(out.tokens, tt.missing, 14, 512)
+        # One row per state: 9 at the first step, where the (state, field)
+        # pairs number 13.
+        assert len(calls[0]) == 9
 
     def test_first_fields_of_two_rows_in_a_batch_are_independent(self, revealed_orders):
         # Pairs of neighbouring rows in one batch: a shared order per batch

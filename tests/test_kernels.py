@@ -276,7 +276,8 @@ def step_and_forward(l, seed, dtype, dropout):
     mask |= missing
     logits = [t.data for t in m.forward(tokens, mask)]
     with ad.no_grad():
-        single = [m.forward(tokens, mask, fields=(j,))[0].data for j in range(l)]
+        single = [m.forward(tokens, mask, fields=np.full((len(tokens), 1), j))[0].data
+                  for j in range(l)]
     return loss, grads, logits, single, m.embed_rows(tokens, missing)
 
 

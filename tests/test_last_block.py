@@ -39,9 +39,9 @@ def test_subset_logits_match_full_forward(l, n, dtype):
     with m.inference():
         full = [t.data for t in m.forward(tokens, mask)]
         for fields in subsets(l):
-            got = m.forward(tokens, mask, fields=fields)
+            got = m.forward(tokens, mask, fields=np.tile(fields, (n, 1)))
             assert len(got) == len(fields)
-            for t, j in zip(got, fields):
+            for t, j in zip(got, sorted(fields)):
                 assert t.data.shape == full[j].shape
                 assert t.data.dtype == np.dtype(dtype)
                 np.testing.assert_allclose(t.data, full[j], rtol=0, atol=PRUNED_ATOL[dtype])
@@ -68,19 +68,21 @@ def test_per_row_fields_match_full_forward(l, n, dtype):
 def test_taped_subset_equals_untaped():
     """The taped subset path gives the inference path's logits, bit for bit."""
     m, tokens, mask = case(8, 16, "float32")
-    taped = [t.data for t in m.forward(tokens, mask, fields=(5, 1))]
+    fields = np.tile((5, 1), (16, 1))
+    taped = [t.data for t in m.forward(tokens, mask, fields=fields)]
     with m.inference():
-        untaped = [t.data for t in m.forward(tokens, mask, fields=(5, 1))]
+        untaped = [t.data for t in m.forward(tokens, mask, fields=fields)]
     assert [a.tobytes() for a in taped] == [b.tobytes() for b in untaped]
 
 
 def test_negative_and_out_of_range_fields():
     m, tokens, mask = case(3, 4, "float64")
     with m.inference():
-        last = m.forward(tokens, mask, fields=(2,))[0].data
-        assert m.forward(tokens, mask, fields=(-1,))[0].data.tobytes() == last.tobytes()
+        last = m.forward(tokens, mask, fields=np.full((4, 1), 2))[0].data
+        assert m.forward(tokens, mask, fields=np.full((4, 1), -1))[0].data.tobytes() == \
+            last.tobytes()
         with pytest.raises(IndexError):
-            m.forward(tokens, mask, fields=(3,))
+            m.forward(tokens, mask, fields=np.full((4, 1), 3))
 
 
 def ffn_rows(fn) -> list[int]:
@@ -111,13 +113,13 @@ def test_last_block_ffn_rows(l, n):
     with m.inference():
         assert ffn_rows(lambda: m.forward(tokens, mask)) == [n * l] * depth
         for fields in subsets(l):
-            got = ffn_rows(lambda: m.forward(tokens, mask, fields=fields))
+            got = ffn_rows(lambda: m.forward(tokens, mask, fields=np.tile(fields, (n, 1))))
             assert got == [n * l] * (depth - 1) + [n * len(fields)]
         per_row = np.zeros((n, 1), dtype=np.int64)
         assert ffn_rows(lambda: m.forward(tokens, mask, None, per_row)) == \
             [n * l] * (depth - 1) + [n]
     m.training = True
-    got = ffn_rows(lambda: m.forward(tokens, mask, fields=(l - 1,)))
+    got = ffn_rows(lambda: m.forward(tokens, mask, fields=np.full((n, 1), l - 1)))
     assert got == [n * l] * (depth - 1) + [n]
 
 
@@ -137,7 +139,8 @@ def test_taped_subset_forward_gradients(fields):
 
     def f():
         total = None
-        for logits, j in zip(m.forward(tokens, mask, fields=fields), fields):
+        for logits, j in zip(m.forward(tokens, mask, fields=np.tile(fields, (6, 1))),
+                             sorted(fields)):
             loss, _ = ad.cross_entropy_sum(logits, tokens[:, j], mask[:, j])
             total = loss if total is None else ad.add(total, loss)
         return total

@@ -273,7 +273,7 @@ class TestFieldSubset:
         mask = rng.random(tokens.shape) < 0.5
         full = m.forward(tokens, mask)
         for j in range(m.n_fields):
-            (one,) = m.forward(tokens, mask, fields=(j,))
+            (one,) = m.forward(tokens, mask, fields=np.full((12, 1), j))
             np.testing.assert_allclose(one.data, full[j].data, rtol=0,
                                        atol=PRUNED_ATOL["float64"])
 
@@ -312,7 +312,8 @@ class TestMatchesPerFieldHidden:
         new, old = both(lambda: [t.data.tobytes() for t in m.forward(tokens, mask)])
         assert new == old
         for j in range(l):
-            new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data)
+            new, old = both(lambda: m.forward(tokens, mask,
+                                              fields=np.full((len(tokens), 1), j))[0].data)
             np.testing.assert_allclose(new, old, rtol=0, atol=PRUNED_ATOL[dtype])
 
     @pytest.mark.parametrize("l, dtype", MIXED_CASES)

@@ -40,7 +40,8 @@ class TestMatchesReshapingPlumbing:
         assert new == old
         for j in range(l):
             with m.inference():
-                new, old = both(lambda: m.forward(tokens, mask, fields=(j,))[0].data)
+                new, old = both(lambda: m.forward(tokens, mask,
+                                                  fields=np.full((len(tokens), 1), j))[0].data)
             np.testing.assert_allclose(new, old, rtol=0, atol=PRUNED_ATOL[dtype])
 
     def test_training_step_loss_and_gradients(self, l, dtype, drop):
@@ -135,7 +136,7 @@ def test_fewer_tape_nodes():
 
     def infer():
         with m.inference():
-            m.forward(tokens[:16], mask[:16], fields=(5,))
+            m.forward(tokens[:16], mask[:16], fields=np.full((16, 1), 5))
 
     for fn in (step, infer):
         new, old = both(lambda: count_ops(fn))
