@@ -417,13 +417,30 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return m[:, None]
 
 
+def row_sum(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of a C-ordered 2-D array, as a column.
+
+    Numpy adds a row of fewer than 8 entries to 0 one entry at a time, in
+    order, at about 0.02 us per row. Many such rows are summed one column at
+    a time into a zero vector instead, which is the same additions in the
+    same order, so the same bits: (12288, 3) float32 in 34 us against 247 us.
+    """
+    n, d = x.shape
+    if not 0 < d < 8 or n < 32 * d:
+        return np.add.reduce(x, axis=1, keepdims=True)
+    s = np.zeros(n, x.dtype)
+    for j in range(d):
+        s += x[:, j]
+    return s[:, None]
+
+
 def softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Softmax of each row of the 2-D ``x``, exp(x - row max) / row sum,
     written into ``out`` one row block at a time; ``out`` may be ``x``."""
     for sl in _blocks(*x.shape):
         o = np.subtract(x[sl], row_max(x[sl]), out=out[sl])
         np.exp(o, out=o)
-        o /= np.add.reduce(o, axis=-1, keepdims=True)
+        o /= row_sum(o)
     return out
 
 
@@ -438,7 +455,7 @@ def softmax(a) -> Tensor:
         g = _rows(g)
         ga = np.empty(g.shape, np.result_type(g, out))
         for sl in _blocks(*g.shape):
-            dot = np.add.reduce(g[sl] * out[sl], axis=-1, keepdims=True)
+            dot = row_sum(g[sl] * out[sl])
             np.multiply(out[sl], g[sl] - dot, out=ga[sl])
         _accum(na, ga.reshape(sa))
 
@@ -667,7 +684,7 @@ def cross_entropy_sum(logits, targets, active) -> tuple[Tensor, int]:
     n, k = logits.data.shape
     z = logits.data
     zmax = row_max(z)
-    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+    lse = zmax[:, 0] + np.log(row_sum(np.exp(z - zmax))[:, 0])
     safe_t = np.where(active, targets, 0)
     losses = lse - z[np.arange(n), safe_t]
     count = int(active.sum())

@@ -3,14 +3,17 @@
 Categorical fields get a first-occurrence vocabulary. Continuous fields are
 quantized with exact weighted 1-D k-means over their distinct values (the
 monotone-split dynamic programme of Ckmeans.1d.dp, Wang & Song 2011), one
-batched pass for all of a table's continuous fields, and carry the min-max
-ratio vector used by the ordered embeddings. Each codec encodes and decodes
-a whole column at once; a continuous value encodes to its nearest center, a
-tie going to the lower one.
+batched pass per group of a table's continuous fields, each group in its own
+forked process when the fit is large enough to pay for them, and carry the
+min-max ratio vector used by the ordered embeddings. Each codec encodes and
+decodes a whole column at once; a continuous value encodes to its nearest
+center, a tie going to the lower one.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,11 +132,20 @@ class ContinuousCodec:
         return self.centers[_checked_tokens(tokens, self.cardinality)].tolist()
 
 
-def _kmeans_1d(columns) -> list[np.ndarray]:
+def _prefix_sums(x: np.ndarray, w: np.ndarray) -> list[np.ndarray]:
+    """Prefix sums from 0 of w, w * xc and w * xc**2, xc being x less its
+    weighted mean; centred values keep the sums of squares from cancelling.
+    The mean's ``np.dot`` is the quantizer's one BLAS call."""
+    xc = x - np.dot(w, x) / w.sum()
+    return [np.concatenate([[0.0], np.cumsum(v)]) for v in (w, w * xc, w * xc * xc)]
+
+
+def _kmeans_1d(columns, sums=None) -> list[np.ndarray]:
     """Centers of an optimal k-means clustering of each column's values.
 
     Each of ``columns`` is a triple ``(x, w, k)``: n >= k distinct values in
-    increasing order, their weights and the cluster count. Clusters are
+    increasing order, their weights and the cluster count; ``sums`` holds
+    each column's ``_prefix_sums``, computed here when None. Clusters are
     contiguous runs of ``x``, so the least within-cluster sum of squares
     D[c, j] of the first j values in c clusters is min over i of
     D[c-1, i] + cost(i, j), solved one cluster count c at a time. The
@@ -144,11 +156,8 @@ def _kmeans_1d(columns) -> list[np.ndarray]:
     ns, ks = np.array([(len(x), k) for x, _, k in columns]).T
     spans = ns - ks
     base = np.cumsum(ns + 1) - (ns + 1)  # where each column's prefix sums start
-    sums = []
-    for x, w, _ in columns:
-        # Centred values keep the prefix sums of squares from cancelling.
-        xc = x - np.dot(w, x) / w.sum()
-        sums.append([np.concatenate([[0.0], np.cumsum(v)]) for v in (w, w * xc, w * xc * xc)])
+    if sums is None:
+        sums = [_prefix_sums(x, w) for x, w, _ in columns]
     pw, ps, ps2 = (np.concatenate(s) for s in zip(*sums))
     # cost(i, j) = ps2[j] - ps2[i] - (ps[j] - ps[i])**2 / (pw[j] - pw[i]) is
     # the weighted sum of squares of x[i:j] about its mean.
@@ -213,6 +222,107 @@ def _kmeans_1d(columns) -> list[np.ndarray]:
     return centers
 
 
+# Below this much work, the sum of n * k over the continuous columns, the
+# fit stays in one process: forking costs more than the other CPUs save. On
+# a 2-CPU host (median of 12 alternating pairs, k = 100), 4 columns of 1,000
+# distinct values (4e5) took 91 ms in one process and 113 ms in two; 4 of
+# 2,000 (8e5) 113 and 106 ms, two processes faster in 8 pairs of 12; 4 of
+# 3,000 (1.2e6) 170 and 151 ms, faster in all 12.
+_FORK_MIN_WORK = 1_000_000
+
+
+def _fit_processes(columns) -> int:
+    """How many processes fit ``columns``: one per usable CPU, at most one
+    per column, and one where ``os.fork`` is missing or the fit is small."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if sum(len(x) * k for x, _, k in columns) < _FORK_MIN_WORK:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(columns))
+
+
+def _groups(columns, count: int) -> list[list[int]]:
+    """Column indices in ``count`` groups of about equal work n * k: each
+    column, largest first, joins the group with the least work so far."""
+    work = [len(x) * k for x, _, k in columns]
+    groups, load = [[] for _ in range(count)], [0] * count
+    for t in sorted(range(len(columns)), key=lambda t: -work[t]):
+        g = load.index(min(load))
+        groups[g].append(t)
+        load[g] += work[t]
+    return [sorted(g) for g in groups]
+
+
+def _child(fd: int, solve) -> None:
+    """In a forked child: write ``solve()``'s centers to ``fd`` and leave by
+    ``os._exit``, status 1 on any error, so no parent code runs here."""
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for c in solve():
+                out.write(c.tobytes())
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+        raise
+    finally:
+        os._exit(code)
+
+
+def _kmeans_forked(columns, names: list[str], count: int) -> list[np.ndarray]:
+    """``_kmeans_1d(columns)`` in ``count`` groups at once: this process
+    solves the first group and a forked child each other one, which sends
+    its centers down a pipe. Each column's centers are the same bits, as no
+    column's pass reads another's. The prefix sums are built before any
+    fork, so a child runs numpy ufuncs only: no BLAS call, no thread."""
+    import signal  # here, so that importing tabmt does not load it
+
+    sums = [_prefix_sums(x, w) for x, w, _ in columns]
+    groups = _groups(columns, count)
+
+    def solve(g):
+        return _kmeans_1d([columns[t] for t in g], [sums[t] for t in g])
+
+    centers, children = {}, []  # children: [pid or None once reaped, read end]
+    try:
+        for g in groups[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(w, lambda: solve(g))
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append([pid, r])
+        centers.update(zip(groups[0], solve(groups[0])))
+        for child, g in zip(children, groups[1:]):
+            with open(child[1], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(child[0], 0)[1])
+            child[0] = None
+            ks = [columns[t][2] for t in g]
+            what = "fields " + ", ".join(repr(names[t]) for t in g)
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"{what}: the quantizer process {how}")
+            if len(data) != 8 * sum(ks):
+                raise RuntimeError(f"{what}: the quantizer process sent {len(data)} "
+                                   f"of {8 * sum(ks)} bytes")
+            centers.update(zip(g, np.split(np.frombuffer(data).copy(), np.cumsum(ks)[:-1])))
+    finally:
+        for pid, r in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(r)
+    return [centers[t] for t in range(len(columns))]
+
+
 def _observed(col: list) -> tuple[np.ndarray, list]:
     """A column's observed-cell mask and its observed cells, in order."""
     if MISSING not in col:
@@ -252,19 +362,23 @@ FieldCodec = CategoricalCodec | ContinuousCodec
 
 
 def fit_codecs(table: RawTable, seed: int = 0) -> list[FieldCodec]:
-    """One codec per field, the continuous ones from one batched fit; ``seed`` is unused."""
-    codecs, columns = [], []
+    """One codec per field; the continuous ones come from one batched fit, or
+    from one per group of them in ``_fit_processes`` processes. ``seed`` is unused."""
+    codecs, columns, names = [], [], []
     for j, fs in enumerate(table.schema.fields):
         with _field(fs.name):
             if fs.kind == CONTINUOUS:
                 columns.append(_distinct(table.column(j), fs.max_bins))
+                names.append(fs.name)
                 codecs.append(None)
                 continue
             codecs.append(codec := fit_categorical(table.column(j)))
             if fs.declared_cardinality is not None and codec.cardinality > fs.declared_cardinality:
                 raise CodecError(f"{codec.cardinality} distinct values observed, "
                                  f"{fs.declared_cardinality} declared")
-    centers = iter(_kmeans_1d(columns) if columns else [])
+    count = _fit_processes(columns)
+    centers = iter(_kmeans_forked(columns, names, count) if count > 1
+                   else _kmeans_1d(columns) if columns else [])
     return [ContinuousCodec(next(centers)) if c is None else c for c in codecs]
 
 

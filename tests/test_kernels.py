@@ -102,6 +102,30 @@ def test_row_max_matches_reduce(d, dtype):
         assert np.array_equal(strided, want)
 
 
+def sum_inputs(n, d, dtype, seed):
+    """Values of both signs across 12 orders of magnitude, so that the order
+    of the additions shows in the bits, with zeros of either sign and a row
+    of -0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7, (n, d))
+    x[rng.random((n, d)) < 0.2] = 0.0
+    x[x == 0] *= np.where(rng.random(int((x == 0).sum())) < 0.5, 1, -1)
+    x[0] = -0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("d", list(range(1, 10)) + [16])
+def test_row_sum_matches_reduce(d, dtype):
+    """``ad.row_sum`` gives ``np.add.reduce``'s bits, both where it adds
+    columns (fewer than 8 entries, many rows) and where it calls reduce."""
+    for n in (1, 3, 32 * d - 1, 32 * d, 1000):
+        x = sum_inputs(n, d, dtype, seed=d + n)
+        got, want = ad.row_sum(x), np.add.reduce(x, axis=-1, keepdims=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("n, k", [(1, 2), (300, 2), (500, 4), (4097, 16), (64, 33), (40, 1000)])
 def test_cross_entropy_and_sampling_match_oracles(n, k, dtype):
