@@ -223,12 +223,18 @@ def _kmeans_1d(columns, sums=None) -> list[np.ndarray]:
 
 
 # Below this much work, the sum of n * k over the continuous columns, the
-# fit stays in one process: forking costs more than the other CPUs save. On
-# a 2-CPU host (median of 12 alternating pairs, k = 100), 4 columns of 1,000
-# distinct values (4e5) took 91 ms in one process and 113 ms in two; 4 of
-# 2,000 (8e5) 113 and 106 ms, two processes faster in 8 pairs of 12; 4 of
-# 3,000 (1.2e6) 170 and 151 ms, faster in all 12.
-_FORK_MIN_WORK = 1_000_000
+# fit stays in one process: forking costs more, or saves less for sure, than
+# the other CPUs save. On a 2-CPU host (median of 12 alternating pairs,
+# k = 100), 4 columns of 1,000 distinct values (4e5) took 91 ms in one
+# process and 113 ms in two; 4 of 2,000 (8e5) 113 and 106 ms, two processes
+# faster in 8 pairs of 12; 4 of 3,000 (1.2e6) 170 and 151 ms, faster in all
+# 12. That saving holds only while the other CPU is idle. With it busy,
+# perfbench's wide-16 (6 columns of about 2,600 values, 1.55e6) ingested
+# 16.6k rows/s in one process and 16.5k in two, and over 10 runs on a shared
+# 2-vCPU host the middle half of its forked ingest rate spread 38 % of the
+# one-process median, against 12 % in one process. Its tall-8 (4 columns of
+# about 6,700 values, 2.7e6) saves about 150 ms of 430 when forked.
+_FORK_MIN_WORK = 2_000_000
 
 
 def _fit_processes(columns) -> int:
